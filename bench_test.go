@@ -440,7 +440,8 @@ func BenchmarkFaultTreeCutSets(b *testing.B) {
 }
 
 // BenchmarkEvaluateManyBatch measures the batched hierarchy evaluation of
-// the ten Table 8 parameter sets: shared composer, per-worker workspaces.
+// the ten Table 8 parameter sets: shared composer, one compiled model per
+// worker refreshed per cell.
 func BenchmarkEvaluateManyBatch(b *testing.B) {
 	ps := make([]travelagency.Params, 10)
 	for n := 1; n <= 10; n++ {

@@ -18,9 +18,22 @@
 // dependencies that might exist among the functions due to shared services
 // or resources is needed", §4.3): a scenario invoking Home, Browse and
 // Search must count the web service once, not three times. Evaluate
-// therefore conditions on the joint up/down state of all services involved
+// therefore conditions on the joint up/down state of the services involved
 // in a scenario (Shannon decomposition) instead of multiplying function
 // availabilities.
+//
+// The decomposition is compiled once per model structure. Services are
+// interned to indices, so an evaluation runs over a []float64 of service
+// availabilities. A service is essential to a scenario when some invoked
+// function requires it on every branch: the scenario fails whenever it is
+// down, so it multiplies straight out of the sum, and only the k remaining
+// free services are enumerated:
+//
+//	A(scenario) = Π A(essential) · Σ over the 2^k free-service states.
+//
+// SetServiceAvailability refreshes a number and keeps the compiled program;
+// AddService*, AddFunction, SetScenarios, SetProfile and any mutation of a
+// registered diagram recompile it on the next evaluation.
 package hierarchy
 
 import (
@@ -28,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/interaction"
 	"repro/internal/opprofile"
@@ -40,13 +54,26 @@ var ErrModel = errors.New("hierarchy: invalid model")
 // maxScenarioServices bounds the per-scenario Shannon decomposition.
 const maxScenarioServices = 20
 
-// Model is a four-level availability model under construction.
+// Model is a four-level availability model under construction. Evaluate,
+// EvaluateWith and ServiceImportances are safe for concurrent use with each
+// other; the mutators (Add*, Set*) must not run concurrently with anything.
 type Model struct {
-	serviceOrder []string
-	services     map[string]func() (float64, error)
-	funcOrder    []string
-	functions    map[string]*interaction.Diagram
-	scenarios    []UserScenario
+	services  []service // declaration order
+	svcIndex  map[string]int
+	funcOrder []string
+	functions map[string]*interaction.Diagram
+	scenarios []UserScenario
+
+	mu   sync.Mutex // guards prog
+	prog *program   // compiled user layer; nil after a structural edit
+}
+
+// service is one declared service: a fixed availability, or an evaluator
+// when eval is non-nil.
+type service struct {
+	name  string
+	value float64
+	eval  func() (float64, error)
 }
 
 // UserScenario is one user-level scenario class: a set of invoked functions
@@ -63,17 +90,20 @@ type UserScenario struct {
 // New returns an empty model.
 func New() *Model {
 	return &Model{
-		services:  make(map[string]func() (float64, error)),
+		svcIndex:  make(map[string]int),
 		functions: make(map[string]*interaction.Diagram),
 	}
 }
 
+// validAvailability reports whether a lies in [0, 1].
+func validAvailability(a float64) bool { return a >= 0 && a <= 1 }
+
 // AddService declares a service with a fixed availability.
 func (m *Model) AddService(name string, availability float64) error {
-	if availability < 0 || availability > 1 || math.IsNaN(availability) {
+	if !validAvailability(availability) {
 		return fmt.Errorf("%w: service %q availability %v", ErrModel, name, availability)
 	}
-	return m.AddServiceEval(name, func() (float64, error) { return availability, nil })
+	return m.declare(service{name: name, value: availability})
 }
 
 // AddServiceBlock declares a service whose availability is computed from a
@@ -89,18 +119,47 @@ func (m *Model) AddServiceBlock(name string, block rbd.Block) error {
 // evaluator — typically a composite performance-availability model such as
 // webfarm.Farm.Availability.
 func (m *Model) AddServiceEval(name string, eval func() (float64, error)) error {
-	if name == "" {
-		return fmt.Errorf("%w: empty service name", ErrModel)
-	}
 	if eval == nil {
 		return fmt.Errorf("%w: service %q has nil evaluator", ErrModel, name)
 	}
-	if _, ok := m.services[name]; ok {
-		return fmt.Errorf("%w: service %q already declared", ErrModel, name)
+	return m.declare(service{name: name, eval: eval})
+}
+
+// declare registers a new service under a unique, non-empty name.
+func (m *Model) declare(s service) error {
+	if s.name == "" {
+		return fmt.Errorf("%w: empty service name", ErrModel)
 	}
-	m.services[name] = eval
-	m.serviceOrder = append(m.serviceOrder, name)
+	if _, ok := m.svcIndex[s.name]; ok {
+		return fmt.Errorf("%w: service %q already declared", ErrModel, s.name)
+	}
+	m.svcIndex[s.name] = len(m.services)
+	m.services = append(m.services, s)
+	m.invalidate()
 	return nil
+}
+
+// SetServiceAvailability refreshes a declared service to a fixed
+// availability, replacing its value or evaluator. It is a refresh, not a
+// structural edit: the compiled user layer is kept, so re-evaluating after
+// a refresh costs only the arithmetic.
+func (m *Model) SetServiceAvailability(name string, availability float64) error {
+	i, ok := m.svcIndex[name]
+	if !ok {
+		return fmt.Errorf("%w: undeclared service %q", ErrModel, name)
+	}
+	if !validAvailability(availability) {
+		return fmt.Errorf("%w: service %q availability %v", ErrModel, name, availability)
+	}
+	m.services[i].value, m.services[i].eval = availability, nil
+	return nil
+}
+
+// invalidate drops the compiled program after a structural edit.
+func (m *Model) invalidate() {
+	m.mu.Lock()
+	m.prog = nil
+	m.mu.Unlock()
 }
 
 // AddFunction declares a function by its interaction diagram. Every service
@@ -117,12 +176,13 @@ func (m *Model) AddFunction(d *interaction.Diagram) error {
 		return fmt.Errorf("hierarchy: function %q: %w", name, err)
 	}
 	for _, svc := range d.Services() {
-		if _, ok := m.services[svc]; !ok {
+		if _, ok := m.svcIndex[svc]; !ok {
 			return fmt.Errorf("%w: function %q references undeclared service %q", ErrModel, name, svc)
 		}
 	}
 	m.functions[name] = d
 	m.funcOrder = append(m.funcOrder, name)
+	m.invalidate()
 	return nil
 }
 
@@ -153,6 +213,7 @@ func (m *Model) SetScenarios(scenarios []UserScenario) error {
 	cp := make([]UserScenario, len(scenarios))
 	copy(cp, scenarios)
 	m.scenarios = cp
+	m.invalidate()
 	return nil
 }
 
@@ -218,34 +279,18 @@ func (r *Report) UnavailabilityWhere(keep func(ScenarioResult) bool) float64 {
 	return u
 }
 
-// svcReq is one (required-service mask, probability) pair of a function's
-// scenario class, relative to the service ordering of one user scenario.
-type svcReq struct {
-	mask int
-	prob float64
-}
-
-// Workspace holds the reusable scratch of one evaluation: the per-function
-// scenario cache and the buffers of the per-scenario Shannon decomposition.
-// A Workspace is not safe for concurrent use — give each sweep worker its
-// own (see sweep.RunScratch) and reuse it across evaluations; results are
+// Workspace is the reusable scratch of one evaluation: the service
+// availability vector the compiled program reads. A Workspace is not safe
+// for concurrent use — give each sweep worker its own (see
+// sweep.RunScratch) and reuse it across evaluations; results are
 // bit-identical to workspace-free evaluation.
 type Workspace struct {
-	funcScenarios map[string][]interaction.Scenario
-	svcSet        map[string]bool
-	services      []string
-	bit           map[string]int
-	reqs          []svcReq
-	ends          []int
+	avail []float64
 }
 
 // NewWorkspace returns an empty evaluation workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{
-		funcScenarios: make(map[string][]interaction.Scenario),
-		svcSet:        make(map[string]bool),
-		bit:           make(map[string]int),
-	}
+	return &Workspace{}
 }
 
 // Evaluate computes service, function, scenario and user availabilities.
@@ -254,119 +299,289 @@ func (m *Model) Evaluate() (*Report, error) {
 }
 
 // EvaluateWorkspace is Evaluate with caller-owned scratch: a worker reusing
-// one Workspace across many evaluations performs no per-scenario scratch
-// allocation. A nil workspace allocates a fresh one.
+// one Workspace across many evaluations does not reallocate the service
+// vector. A nil workspace allocates a fresh one.
 func (m *Model) EvaluateWorkspace(ws *Workspace) (*Report, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
+	return m.evaluate(ws, nil)
+}
+
+// evaluate is the evaluation core. Services named in overrides take the
+// given availability without calling their evaluators; the patched vector
+// lives in ws, and the model is never mutated.
+func (m *Model) evaluate(ws *Workspace, overrides map[string]float64) (*Report, error) {
 	if len(m.scenarios) == 0 {
 		return nil, fmt.Errorf("%w: no user scenarios installed", ErrModel)
 	}
+	avail := ws.avail[:0]
+	for _, s := range m.services {
+		a, ok := overrides[s.name]
+		switch {
+		case ok:
+		case s.eval != nil:
+			var err error
+			if a, err = s.eval(); err != nil {
+				return nil, fmt.Errorf("hierarchy: service %q: %w", s.name, err)
+			}
+		default:
+			a = s.value
+		}
+		if !validAvailability(a) {
+			return nil, fmt.Errorf("%w: service %q evaluated to %v", ErrModel, s.name, a)
+		}
+		avail = append(avail, a)
+	}
+	ws.avail = avail
+	prog, err := m.program()
+	if err != nil {
+		return nil, err
+	}
+
 	report := &Report{
 		Services:  make(map[string]float64, len(m.services)),
-		Functions: make(map[string]float64, len(m.functions)),
-		Scenarios: make([]ScenarioResult, 0, len(m.scenarios)),
+		Functions: make(map[string]float64, len(m.funcOrder)),
+		Scenarios: make([]ScenarioResult, len(m.scenarios)),
 	}
-	for _, name := range m.serviceOrder {
-		a, err := m.services[name]()
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: service %q: %w", name, err)
-		}
-		if a < 0 || a > 1 || math.IsNaN(a) {
-			return nil, fmt.Errorf("%w: service %q evaluated to %v", ErrModel, name, a)
-		}
-		report.Services[name] = a
+	for i, s := range m.services {
+		report.Services[s.name] = avail[i]
 	}
-
-	// Cache each function's scenarios once per evaluation.
-	clear(ws.funcScenarios)
-	for _, name := range m.funcOrder {
-		scs, err := m.functions[name].Scenarios()
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: function %q: %w", name, err)
-		}
-		ws.funcScenarios[name] = scs
-		a, err := m.functions[name].Availability(report.Services)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: function %q: %w", name, err)
-		}
-		report.Functions[name] = a
+	for fi, terms := range prog.funcs {
+		report.Functions[m.funcOrder[fi]] = functionAvailability(terms, avail)
 	}
-
-	var user float64
+	var nFuncs int
 	for _, sc := range m.scenarios {
-		a, err := m.scenarioAvailability(sc, report.Services, ws)
-		if err != nil {
-			return nil, err
-		}
-		report.Scenarios = append(report.Scenarios, ScenarioResult{
+		nFuncs += len(sc.Functions)
+	}
+	names := make([]string, 0, nFuncs)
+	var user float64
+	for si, sc := range m.scenarios {
+		a := prog.scenarios[si].availability(avail)
+		names = append(names, sc.Functions...)
+		report.Scenarios[si] = ScenarioResult{
 			Name:         sc.Name,
-			Functions:    append([]string(nil), sc.Functions...),
+			Functions:    names[len(names)-len(sc.Functions) : len(names) : len(names)],
 			Probability:  sc.Probability,
 			Availability: a,
-		})
+		}
 		user += sc.Probability * a
 	}
 	report.UserAvailability = math.Min(1, math.Max(0, user))
 	return report, nil
 }
 
-// scenarioAvailability computes P(every invoked function succeeds) by
-// conditioning on the joint state of all services any invoked function can
-// touch. Function branch choices are independent of each other and of the
-// service states; service states are shared across functions. All scratch
-// lives in ws; the arithmetic is unchanged from the allocating version.
-func (m *Model) scenarioAvailability(sc UserScenario, avail map[string]float64, ws *Workspace) (float64, error) {
-	// Union of services across the scenario's functions, deterministic order.
-	svcSet := ws.svcSet
-	clear(svcSet)
-	for _, fn := range sc.Functions {
-		for _, fscs := range ws.funcScenarios[fn] {
-			for _, svc := range fscs.Services {
-				svcSet[svc] = true
-			}
+// program is the compiled user layer of one model structure. It is
+// immutable once built, so concurrent evaluations share it.
+type program struct {
+	// sources holds the Scenarios() slice each function (funcOrder) was
+	// compiled from; a diagram mutated since returns a fresh slice.
+	sources   [][]interaction.Scenario
+	funcs     [][]term       // each function's branches, in funcOrder
+	scenarios []scenarioProg // in m.scenarios order
+}
+
+// term is one function branch: its probability and the indices of the
+// services it requires, in name order.
+type term struct {
+	prob float64
+	svcs []int
+}
+
+// scenarioProg is one scenario's factorised Shannon decomposition.
+type scenarioProg struct {
+	// essential services are required on every branch of some invoked
+	// function.
+	essential []int
+	// free are the other services the scenario touches; bit b of an
+	// enumerated state is the up/down state of free[b].
+	free []int
+	// reqs holds every invoked function's branches as (mask over free
+	// bits, probability) pairs; ends[j] is the end offset of function j.
+	reqs []svcReq
+	ends []int
+}
+
+// svcReq is one function branch within a scenario: the free services it
+// requires as a bit mask, and its probability.
+type svcReq struct {
+	mask int
+	prob float64
+}
+
+// program returns the compiled user layer, recompiling it when a
+// structural edit dropped it or a registered diagram was mutated since.
+func (m *Model) program() (*program, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.prog != nil && m.prog.current(m) {
+		return m.prog, nil
+	}
+	p, err := m.compile()
+	if err != nil {
+		return nil, err
+	}
+	m.prog = p
+	return p, nil
+}
+
+// current reports whether every function diagram still returns the
+// scenario slice the program was compiled from. The program holds those
+// slices, so their addresses cannot be reused by a fresh analysis.
+func (p *program) current(m *Model) bool {
+	for fi, name := range m.funcOrder {
+		scs, err := m.functions[name].Scenarios()
+		if err != nil || len(scs) != len(p.sources[fi]) || (len(scs) > 0 && &scs[0] != &p.sources[fi][0]) {
+			return false
 		}
 	}
-	services := ws.services[:0]
-	for svc := range svcSet {
-		services = append(services, svc)
-	}
-	sort.Strings(services)
-	ws.services = services
-	if len(services) > maxScenarioServices {
-		return 0, fmt.Errorf("%w: scenario %q touches %d services, exceeding the decomposition limit %d", ErrModel, sc.Name, len(services), maxScenarioServices)
-	}
-	bit := ws.bit
-	clear(bit)
-	for i, svc := range services {
-		bit[svc] = i
-	}
+	return true
+}
 
-	// Precompute per function the (requiredMask, probability) pairs, stored
-	// flat with end offsets so the buffers persist across scenarios.
-	reqs := ws.reqs[:0]
-	ends := ws.ends[:0]
-	for _, fn := range sc.Functions {
-		for _, fsc := range ws.funcScenarios[fn] {
-			mask := 0
-			for _, svc := range fsc.Services {
-				mask |= 1 << bit[svc]
-			}
-			reqs = append(reqs, svcReq{mask: mask, prob: fsc.Probability})
+// compile interns the services of every function branch and lowers each
+// scenario to its factorised decomposition.
+func (m *Model) compile() (*program, error) {
+	p := &program{
+		sources:   make([][]interaction.Scenario, len(m.funcOrder)),
+		funcs:     make([][]term, len(m.funcOrder)),
+		scenarios: make([]scenarioProg, len(m.scenarios)),
+	}
+	funcIndex := make(map[string]int, len(m.funcOrder))
+	for fi, name := range m.funcOrder {
+		scs, err := m.functions[name].Scenarios()
+		if err != nil {
+			return nil, fmt.Errorf("hierarchy: function %q: %w", name, err)
 		}
-		ends = append(ends, len(reqs))
+		var n int
+		for _, sc := range scs {
+			n += len(sc.Services)
+		}
+		idx := make([]int, 0, n)
+		terms := make([]term, len(scs))
+		for k, sc := range scs {
+			for _, svc := range sc.Services {
+				i, ok := m.svcIndex[svc]
+				if !ok {
+					return nil, fmt.Errorf("%w: function %q references undeclared service %q", ErrModel, name, svc)
+				}
+				idx = append(idx, i)
+			}
+			terms[k] = term{prob: sc.Probability, svcs: idx[len(idx)-len(sc.Services) : len(idx) : len(idx)]}
+		}
+		p.sources[fi], p.funcs[fi] = scs, terms
+		funcIndex[name] = fi
 	}
-	ws.reqs, ws.ends = reqs, ends
 
+	// Service indices in name order: the enumeration order of a scenario's
+	// essential and free services.
+	byName := make([]int, len(m.services))
+	for i := range byName {
+		byName[i] = i
+	}
+	sort.Slice(byName, func(a, b int) bool { return m.services[byName[a]].name < m.services[byName[b]].name })
+	// Per-service scratch: the number of the current function's branches
+	// requiring it, whether the scenario touches it or needs it up, and its
+	// free bit.
+	count := make([]int, len(m.services))
+	touched := make([]bool, len(m.services))
+	essential := make([]bool, len(m.services))
+	bit := make([]int, len(m.services))
+	for si, sc := range m.scenarios {
+		clear(touched)
+		clear(essential)
+		var nTouched, nReqs int
+		for _, fn := range sc.Functions {
+			terms := p.funcs[funcIndex[fn]]
+			nReqs += len(terms)
+			clear(count)
+			for _, t := range terms {
+				for _, i := range t.svcs {
+					if !touched[i] {
+						touched[i] = true
+						nTouched++
+					}
+					count[i]++
+				}
+			}
+			for i, c := range count {
+				if c > 0 && c == len(terms) {
+					essential[i] = true
+				}
+			}
+		}
+		if nTouched > maxScenarioServices {
+			return nil, fmt.Errorf("%w: scenario %q touches %d services, exceeding the decomposition limit %d", ErrModel, sc.Name, nTouched, maxScenarioServices)
+		}
+		sp := scenarioProg{
+			essential: make([]int, 0, nTouched),
+			free:      make([]int, 0, nTouched),
+			reqs:      make([]svcReq, 0, nReqs),
+			ends:      make([]int, 0, len(sc.Functions)),
+		}
+		for _, i := range byName {
+			switch {
+			case essential[i]:
+				sp.essential = append(sp.essential, i)
+			case touched[i]:
+				bit[i] = len(sp.free)
+				sp.free = append(sp.free, i)
+			}
+		}
+		for _, fn := range sc.Functions {
+			for _, t := range p.funcs[funcIndex[fn]] {
+				mask := 0
+				for _, i := range t.svcs {
+					if !essential[i] {
+						mask |= 1 << bit[i]
+					}
+				}
+				sp.reqs = append(sp.reqs, svcReq{mask: mask, prob: t.prob})
+			}
+			sp.ends = append(sp.ends, len(sp.reqs))
+		}
+		p.scenarios[si] = sp
+	}
+	return p, nil
+}
+
+// functionAvailability is Σ_branches q·Π A(service), in the operation
+// order of interaction.Diagram.Availability.
+func functionAvailability(terms []term, avail []float64) float64 {
 	var total float64
-	for up := 0; up < 1<<len(services); up++ {
+	for _, t := range terms {
+		x := t.prob
+		for _, i := range t.svcs {
+			x *= avail[i]
+		}
+		total += x
+	}
+	return total
+}
+
+// availability computes P(every invoked function succeeds): the product of
+// the essential services' availabilities times the sum, over the joint
+// states of the free services, of the state's probability and the invoked
+// functions' joint success given that state. Function branch choices are
+// independent of each other and of the service states; service states are
+// shared across functions.
+//
+//ta:hotpath
+func (sp *scenarioProg) availability(avail []float64) float64 {
+	prod := 1.0
+	for _, i := range sp.essential {
+		prod *= avail[i]
+	}
+	if prod == 0 {
+		return 0
+	}
+	var total float64
+	for up := 0; up < 1<<len(sp.free); up++ {
 		weight := 1.0
-		for i, svc := range services {
-			if up&(1<<i) != 0 {
-				weight *= avail[svc]
+		for b, i := range sp.free {
+			if up&(1<<b) != 0 {
+				weight *= avail[i]
 			} else {
-				weight *= 1 - avail[svc]
+				weight *= 1 - avail[i]
 			}
 			if weight == 0 {
 				break
@@ -377,9 +592,9 @@ func (m *Model) scenarioAvailability(sc UserScenario, avail map[string]float64, 
 		}
 		joint := 1.0
 		start := 0
-		for _, end := range ends {
+		for _, end := range sp.ends {
 			var succ float64
-			for _, r := range reqs[start:end] {
+			for _, r := range sp.reqs[start:end] {
 				if r.mask&^up == 0 { // required ⊆ up
 					succ += r.prob
 				}
@@ -392,5 +607,5 @@ func (m *Model) scenarioAvailability(sc UserScenario, avail map[string]float64, 
 		}
 		total += weight * joint
 	}
-	return total, nil
+	return prod * total
 }

@@ -2,36 +2,24 @@ package hierarchy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // EvaluateWith evaluates the model with some service availabilities
 // overridden — the "what if we hardened X" question. Services absent from
-// overrides keep their configured evaluators; the model itself is not
-// modified.
+// overrides keep their configured evaluators. The overrides only patch the
+// availability vector of this evaluation; the model itself is never
+// modified, so EvaluateWith may run concurrently with Evaluate.
 func (m *Model) EvaluateWith(overrides map[string]float64) (*Report, error) {
 	for svc, a := range overrides {
-		if _, ok := m.services[svc]; !ok {
+		if _, ok := m.svcIndex[svc]; !ok {
 			return nil, fmt.Errorf("%w: override for undeclared service %q", ErrModel, svc)
 		}
-		if a < 0 || a > 1 || math.IsNaN(a) {
+		if !validAvailability(a) {
 			return nil, fmt.Errorf("%w: override availability %v for %q", ErrModel, a, svc)
 		}
 	}
-	saved := m.services
-	patched := make(map[string]func() (float64, error), len(saved))
-	for name, eval := range saved {
-		if a, ok := overrides[name]; ok {
-			value := a
-			patched[name] = func() (float64, error) { return value, nil }
-		} else {
-			patched[name] = eval
-		}
-	}
-	m.services = patched
-	defer func() { m.services = saved }()
-	return m.Evaluate()
+	return m.evaluate(NewWorkspace(), overrides)
 }
 
 // ServiceImportance is the user-level Birnbaum importance of one service:
@@ -53,8 +41,9 @@ func (m *Model) ServiceImportances() ([]ServiceImportance, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ServiceImportance, 0, len(m.serviceOrder))
-	for _, svc := range m.serviceOrder {
+	out := make([]ServiceImportance, 0, len(m.services))
+	for _, s := range m.services {
+		svc := s.name
 		up, err := m.EvaluateWith(map[string]float64{svc: 1})
 		if err != nil {
 			return nil, err

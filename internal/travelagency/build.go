@@ -132,12 +132,30 @@ func buildWith(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Mo
 	if err != nil {
 		return nil, err
 	}
+	m, err := newModel(p, class)
+	if err != nil {
+		return nil, err
+	}
+	if err := setServices(m, avail); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// serviceNames is the TA's service declaration order.
+var serviceNames = []string{
+	SvcInternet, SvcLAN, SvcWeb, SvcApp, SvcDB,
+	SvcFlight, SvcHotel, SvcCar, SvcPayment,
+}
+
+// newModel assembles the structure of the TA model for one class: the nine
+// services, the five function diagrams and the class's scenarios. The
+// services are declared at availability 1 until setServices refreshes them;
+// the model depends on p only through diagramKeyOf(p).
+func newModel(p Params, class UserClass) (*hierarchy.Model, error) {
 	m := hierarchy.New()
-	for _, svc := range []string{
-		SvcInternet, SvcLAN, SvcWeb, SvcApp, SvcDB,
-		SvcFlight, SvcHotel, SvcCar, SvcPayment,
-	} {
-		if err := m.AddService(svc, avail[svc]); err != nil {
+	for _, svc := range serviceNames {
+		if err := m.AddService(svc, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -158,6 +176,17 @@ func buildWith(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Mo
 		return nil, err
 	}
 	return m, nil
+}
+
+// setServices refreshes the model's service availabilities, walking the
+// services in declaration order so batch evaluation stays deterministic.
+func setServices(m *hierarchy.Model, avail map[string]float64) error {
+	for _, svc := range serviceNames {
+		if err := m.SetServiceAvailability(svc, avail[svc]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Evaluate builds and evaluates the TA model for one user class.

@@ -170,7 +170,20 @@ func PayDiagram() (*interaction.Diagram, error) {
 		build()
 }
 
-// Diagrams builds all five function diagrams for the given parameters.
+// diagramKey is every Params input the function diagrams read: parameter
+// sets with equal keys yield identical Diagrams scenarios, so a model's
+// structure can be reused across them.
+type diagramKey struct {
+	Q23, Q24, Q45, Q47 float64
+}
+
+// diagramKeyOf returns the diagram inputs of a parameter set.
+func diagramKeyOf(p Params) diagramKey {
+	return diagramKey{Q23: p.Q23, Q24: p.Q24, Q45: p.Q45, Q47: p.Q47}
+}
+
+// Diagrams builds all five function diagrams for the given parameters;
+// they depend on p only through diagramKeyOf(p).
 func Diagrams(p Params) (map[string]*interaction.Diagram, error) {
 	home, err := HomeDiagram()
 	if err != nil {
