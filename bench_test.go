@@ -7,10 +7,15 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
+	"repro/internal/availd"
 	"repro/internal/ctmc"
 	"repro/internal/dtmc"
 	"repro/internal/faulttree"
@@ -456,6 +461,43 @@ func BenchmarkEvaluateManyBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink += reps[0].UserAvailability
+	}
+}
+
+// BenchmarkAvaildWhatIf serves availd what-if requests in process: each
+// POST /api/v1/evaluate carries the inline class A travel-agency spec with
+// a distinct service override, so every request misses the response cache
+// and pays decoding, document resolution and one evaluation of the cached
+// model structure.
+func BenchmarkAvaildWhatIf(b *testing.B) {
+	srv, err := availd.New(availd.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	spec, err := travelagency.SpecForClass(travelagency.DefaultParams(), travelagency.ClassA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefix := append([]byte(`{"spec":`), doc...)
+	body := make([]byte, 0, len(prefix)+64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := spec.Services[i%len(spec.Services)].Name
+		avail := 0.9 + 0.1*float64(i)/float64(b.N)
+		body = append(append(body[:0], prefix...), `,"overrides":{"`+svc+`":`...)
+		body = append(strconv.AppendFloat(body, avail, 'g', -1, 64), "}}"...)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/evaluate", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		sink += float64(rec.Body.Len())
 	}
 }
 

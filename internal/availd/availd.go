@@ -10,11 +10,14 @@
 //     modelspec parameterizations with optimistic versioning and a JSON-file
 //     snapshot.
 //   - Evaluator wraps modelspec evaluation, the webfarm.Composer and the
-//     travelagency figure/table grids behind one memoized service. A single
-//     cross-request sweep.Memo caches rendered response bodies keyed by the
-//     spec's canonical serialization, so concurrent identical what-if
-//     requests coalesce via its single-flight semantics and repeated
-//     requests are served from cache, bit-identical.
+//     travelagency figure/table grids behind one memoized service. A spec
+//     document resolves once, through a document cache, to a compiled model
+//     structure shared through a structure cache and an availability
+//     vector; a what-if only evaluates that model at a patched vector. A
+//     cross-request sweep.Memo caches the rendered response bodies per
+//     (structure, name, vector), so concurrent identical what-if requests
+//     coalesce via its single-flight semantics and repeated requests are
+//     served from cache, bit-identical.
 //   - Engine runs sensitivity sweeps asynchronously: POST returns a job id,
 //     workers evaluate on the deterministic sweep pool, GET polls status and
 //     results, DELETE cancels via context, and a bounded queue sheds load

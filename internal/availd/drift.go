@@ -38,17 +38,21 @@ type DriftResponse struct {
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	var req DriftRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if !decodeBody(w, r, maxDriftBodyBytes, &req) {
 		return
 	}
 	if len(req.Spans) == 0 {
 		writeError(w, fmt.Errorf("%w: no spans to mine", ErrInvalid))
 		return
 	}
-	spec, err := s.resolveSpec(req.Scenario, req.Spec)
+	raw, err := s.specDocument(req.Scenario, req.Spec)
 	if err != nil {
 		writeError(w, err)
+		return
+	}
+	spec, err := modelspec.Parse(raw)
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalid, err))
 		return
 	}
 	traces, rs := tracemine.GroupSpans(req.Spans)

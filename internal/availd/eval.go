@@ -2,9 +2,13 @@ package availd
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/hierarchy"
 	"repro/internal/modelspec"
@@ -48,32 +52,63 @@ type EvalResponse struct {
 	Delta                    *float64 `json:"delta,omitempty"`
 }
 
-// Evaluator is the evaluation service: every result is rendered to JSON
-// once and cached in a bounded, single-flight memo keyed by the model's
-// canonical serialization, so identical requests — concurrent or repeated —
-// share one solve and one byte-identical body. Figure and table grids run on
-// the deterministic sweep pool and share one webfarm.Composer across
-// requests. All methods are safe for concurrent use.
+// Evaluator is the evaluation service. A spec document resolves, through
+// two bounded caches, to a compiled model structure and an availability
+// vector: the document cache maps a document's bytes to its resolution, and
+// the structure cache maps a structure key (modelspec.Spec.StructureKey) to
+// the model built and compiled once for every document that shares it. A
+// point or what-if evaluation is then one EvaluateWith on that model, with
+// the rendered body cached in a third, single-flight memo keyed by
+// (structure, name, vector), so identical requests — concurrent or
+// repeated — share one solve and one byte-identical body. Figure and table
+// grids run on the deterministic sweep pool and share one webfarm.Composer
+// across requests. All methods are safe for concurrent use.
 type Evaluator struct {
-	memo     sweep.Memo[string, []byte]
-	composer *webfarm.Composer
-	workers  int
+	memo       sweep.Memo[string, rendered]   // response key → rendered body
+	structures sweep.Memo[string, *structure] // structure key → compiled model
+	documents  sweep.Memo[string, *document]  // spec document bytes → resolution
+	lastID     atomic.Uint64
+	composer   *webfarm.Composer
+	workers    int
 }
 
 // NewEvaluator builds an evaluation service. workers bounds the sweep pool
-// used by grid evaluations (≤ 0 selects GOMAXPROCS); memoLimit caps the
-// response cache (≤ 0 leaves it unbounded).
+// used by grid evaluations (≤ 0 selects GOMAXPROCS); memoLimit caps each of
+// the response, structure and document caches (≤ 0 leaves them unbounded).
+// A cached document keeps its structure's model alive after the structure
+// cache drops it, so at most about 2·memoLimit models are resident.
 func NewEvaluator(workers, memoLimit int) *Evaluator {
 	e := &Evaluator{composer: webfarm.NewComposer(), workers: workers}
 	e.memo.SetLimit(memoLimit)
+	e.structures.SetLimit(memoLimit)
+	e.documents.SetLimit(memoLimit)
 	return e
+}
+
+// CacheStats are one cache's hit, miss and eviction counters and its
+// current size.
+type CacheStats struct {
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Evicted int64 `json:"evicted"`
+	Entries int   `json:"entries"`
+}
+
+func cacheStats[K comparable, V any](m *sweep.Memo[K, V]) CacheStats {
+	hits, misses := m.Stats()
+	return CacheStats{Hits: hits, Misses: misses, Evicted: m.Evicted(), Entries: m.Len()}
 }
 
 // MemoStats reports the response cache's hit/miss/eviction counters and
 // current size.
 func (e *Evaluator) MemoStats() (hits, misses, evicted int64, entries int) {
-	hits, misses = e.memo.Stats()
-	return hits, misses, e.memo.Evicted(), e.memo.Len()
+	st := cacheStats(&e.memo)
+	return st.Hits, st.Misses, st.Evicted, st.Entries
+}
+
+// CacheStats reports the response, structure and document caches.
+func (e *Evaluator) CacheStats() (memo, structures, documents CacheStats) {
+	return cacheStats(&e.memo), cacheStats(&e.structures), cacheStats(&e.documents)
 }
 
 // Composer exposes the shared grid composer, for diagnostics.
@@ -100,99 +135,197 @@ func renderReport(name string, rep *hierarchy.Report) ([]byte, error) {
 	return json.Marshal(resp)
 }
 
-// evaluateKey evaluates the canonical spec document key, memoized and
-// single-flighted: concurrent identical requests coalesce into one solve.
-func (e *Evaluator) evaluateKey(key string) ([]byte, error) {
-	return e.memo.Do("eval:"+key, func() ([]byte, error) {
-		spec, err := modelspec.Parse([]byte(key))
+// structure is a model structure shared by every document with its
+// structure key: the model built with every fixed service at 1 and
+// compiled, and the service names in declaration order. id is never
+// reused, so a structure rebuilt after an eviction cannot be served the
+// responses of its predecessor. err records why the structure does not
+// build; the services are known even then, for override checks.
+type structure struct {
+	id       uint64
+	services []string
+	model    *hierarchy.Model
+	err      error
+}
+
+// document is a resolved spec document: its structure, its name and its
+// availability vector (NaN for a group service). It holds no parsed spec
+// and no model of its own, so a cached document costs one vector.
+type document struct {
+	st    *structure
+	name  string
+	avail []float64
+	err   error // the document's own build error, when its structure fails
+}
+
+// rendered is one cached response body with its headline number, so
+// what-if and sweep responses are assembled without decoding a body.
+type rendered struct {
+	body []byte
+	user float64
+}
+
+// documentFor resolves a spec document, inline or stored, through the
+// document cache.
+func (e *Evaluator) documentFor(raw []byte) (*document, error) {
+	return e.documents.Do(string(raw), func() (*document, error) {
+		spec, err := modelspec.Parse(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		m, err := spec.Build()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		rep, err := m.Evaluate()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		return renderReport(spec.Name, rep)
+		return e.resolve(spec)
 	})
 }
 
-// applyOverrides returns a copy of spec with the named services replaced by
-// fixed availabilities. Unknown services and out-of-range values are
-// ErrInvalid.
-func applyOverrides(spec *modelspec.Spec, overrides map[string]float64) (*modelspec.Spec, error) {
-	mod := *spec
-	mod.Services = append([]modelspec.ServiceSpec(nil), spec.Services...)
+// resolve splits a parsed spec into its cached structure, its name and its
+// availability vector.
+func (e *Evaluator) resolve(spec *modelspec.Spec) (*document, error) {
+	key, avail, err := spec.StructureKey()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	st, _ := e.structures.Do(key, func() (*structure, error) { return e.compile(spec), nil })
+	doc := &document{st: st, name: spec.Name, avail: avail}
+	if st.err != nil {
+		// The spec fails as its structure does, unless an invalid fixed
+		// availability declared earlier fails it first.
+		m, err := spec.Build()
+		if err == nil {
+			_, err = m.Evaluate()
+		}
+		if err == nil {
+			err = st.err
+		}
+		doc.err = fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return doc, nil
+}
+
+// compile builds spec's structure and compiles its user layer with one
+// evaluation, so a structure that cannot be evaluated fails here.
+func (e *Evaluator) compile(spec *modelspec.Spec) *structure {
+	st := &structure{id: e.lastID.Add(1), services: make([]string, len(spec.Services))}
+	for i, svc := range spec.Services {
+		st.services[i] = svc.Name
+	}
+	m, err := spec.BuildStructure()
+	if err == nil {
+		_, err = m.Evaluate()
+	}
+	if err != nil {
+		st.err = err
+		return st
+	}
+	st.model = m
+	return st
+}
+
+// override returns the document's availability vector with the overrides
+// applied, checking them in name order: an unknown service or a value
+// outside [0, 1] is ErrInvalid.
+func (d *document) override(overrides map[string]float64) ([]float64, error) {
 	names := make([]string, 0, len(overrides))
 	for name := range overrides {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	avail := slices.Clone(d.avail)
 	for _, name := range names {
-		avail := overrides[name]
-		if avail < 0 || avail > 1 {
-			return nil, fmt.Errorf("%w: override %q availability %v outside [0,1]",
-				ErrInvalid, name, avail)
+		a := overrides[name]
+		if !(a >= 0 && a <= 1) {
+			return nil, fmt.Errorf("%w: override %q availability %v outside [0,1]", ErrInvalid, name, a)
 		}
-		found := false
-		for i, svc := range mod.Services {
-			if svc.Name == name {
-				a := avail
-				mod.Services[i] = modelspec.ServiceSpec{Name: name, Availability: &a}
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.Index(d.st.services, name)
+		if i < 0 {
 			return nil, fmt.Errorf("%w: override names unknown service %q", ErrInvalid, name)
 		}
+		avail[i] = a
 	}
-	return &mod, nil
+	return avail, nil
 }
 
-// Evaluate runs a point evaluation, memoized by the canonical spec. With
-// overrides it evaluates both the modified and the baseline model (each
-// memoized independently) and annotates the response with the baseline and
-// the delta.
+// responseKey identifies the response of a document at an availability
+// vector: the structure id, the vector's bits and the name.
+func responseKey(d *document, avail []float64) string {
+	b := make([]byte, 0, len("eval:")+8*(1+len(avail))+len(d.name))
+	b = append(b, "eval:"...)
+	b = binary.LittleEndian.AppendUint64(b, d.st.id)
+	for _, a := range avail {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a))
+	}
+	return string(append(b, d.name...))
+}
+
+// render returns the memoized response of the document at avail.
+func (e *Evaluator) render(d *document, avail []float64) (rendered, error) {
+	if d.err != nil {
+		return rendered{}, d.err
+	}
+	return e.memo.Do(responseKey(d, avail), func() (rendered, error) {
+		overrides := make(map[string]float64, len(avail))
+		for i, a := range avail {
+			switch {
+			case math.IsNaN(a): // a group service, evaluated from its replicas
+			case a < 0 || a > 1:
+				// What Build reports for the same spec.
+				return rendered{}, fmt.Errorf("%w: %w: service %q availability %v",
+					ErrInvalid, hierarchy.ErrModel, d.st.services[i], a)
+			default:
+				overrides[d.st.services[i]] = a
+			}
+		}
+		rep, err := d.st.model.EvaluateWith(overrides)
+		if err != nil {
+			return rendered{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
+		body, err := renderReport(d.name, rep)
+		return rendered{body: body, user: rep.UserAvailability}, err
+	})
+}
+
+// Evaluate runs a point evaluation of spec. With overrides it evaluates
+// both the modified and the baseline availabilities (each memoized
+// independently) and annotates the response with the baseline and the
+// delta.
 func (e *Evaluator) Evaluate(spec *modelspec.Spec, overrides map[string]float64) ([]byte, error) {
-	baseKey, err := spec.CanonicalKey()
+	d, err := e.resolve(spec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		return nil, err
 	}
+	return e.evaluate(d, overrides)
+}
+
+// evaluate is Evaluate on a resolved document.
+func (e *Evaluator) evaluate(d *document, overrides map[string]float64) ([]byte, error) {
 	if len(overrides) == 0 {
-		return e.evaluateKey(baseKey)
+		r, err := e.render(d, d.avail)
+		return r.body, err
 	}
-	mod, err := applyOverrides(spec, overrides)
+	avail, err := d.override(overrides)
 	if err != nil {
 		return nil, err
 	}
-	modKey, err := mod.CanonicalKey()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	modBody, err := e.evaluateKey(modKey)
+	mod, err := e.render(d, avail)
 	if err != nil {
 		return nil, err
 	}
-	baseBody, err := e.evaluateKey(baseKey)
+	base, err := e.render(d, d.avail)
 	if err != nil {
 		return nil, err
 	}
-	var modResp, baseResp EvalResponse
-	if err := json.Unmarshal(modBody, &modResp); err != nil {
+	tail, err := json.Marshal(struct {
+		Baseline float64 `json:"baselineUserAvailability"`
+		Delta    float64 `json:"delta"`
+	}{base.user, mod.user - base.user})
+	if err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(baseBody, &baseResp); err != nil {
-		return nil, err
-	}
-	baseline := baseResp.UserAvailability
-	delta := modResp.UserAvailability - baseline
-	modResp.BaselineUserAvailability = &baseline
-	modResp.Delta = &delta
-	return json.Marshal(modResp)
+	// EvalResponse renders the baseline and the delta last: splice them in
+	// before the modified body's closing brace.
+	body := make([]byte, 0, len(mod.body)+len(tail))
+	body = append(body, mod.body[:len(mod.body)-1]...)
+	body = append(body, ',')
+	return append(body, tail[1:]...), nil
 }
 
 // SweepRequest asks for a sensitivity sweep: one service's availability is
@@ -211,20 +344,18 @@ type SweepRequest struct {
 // maxSweepPoints bounds one job's grid.
 const maxSweepPoints = 10000
 
-// validate checks the grid parameters against the spec.
-func (r SweepRequest) validate(spec *modelspec.Spec) error {
+// validate checks the grid parameters against the document.
+func (r SweepRequest) validate(d *document) error {
 	if r.Points < 2 || r.Points > maxSweepPoints {
 		return fmt.Errorf("%w: sweep points %d outside [2, %d]", ErrInvalid, r.Points, maxSweepPoints)
 	}
 	if r.From < 0 || r.From > 1 || r.To < 0 || r.To > 1 || r.From > r.To {
 		return fmt.Errorf("%w: sweep range [%v, %v] outside 0 ≤ from ≤ to ≤ 1", ErrInvalid, r.From, r.To)
 	}
-	for _, svc := range spec.Services {
-		if svc.Name == r.Service {
-			return nil
-		}
+	if !slices.Contains(d.st.services, r.Service) {
+		return fmt.Errorf("%w: sweep names unknown service %q", ErrInvalid, r.Service)
 	}
-	return fmt.Errorf("%w: sweep names unknown service %q", ErrInvalid, r.Service)
+	return nil
 }
 
 // SweepPoint is one cell of a sweep result.
@@ -240,34 +371,34 @@ type SweepResponse struct {
 	Points  []SweepPoint `json:"points"`
 }
 
-// Sweep evaluates the sensitivity grid on the shared sweep pool. Every point
-// flows through the same cross-request memo as point evaluations, so sweeps
-// warm the cache for later what-if queries (and vice versa). ctx aborts the
-// sweep between points.
-func (e *Evaluator) Sweep(ctx context.Context, spec *modelspec.Spec, req SweepRequest) ([]byte, error) {
-	if err := req.validate(spec); err != nil {
-		return nil, err
-	}
+// runSweep evaluates a validated sensitivity grid on the shared sweep pool.
+// Every point flows through the same cross-request memo as point
+// evaluations, so sweeps warm the cache for later what-if queries (and
+// vice versa). ctx aborts the sweep between points.
+func (e *Evaluator) runSweep(ctx context.Context, d *document, req SweepRequest) ([]byte, error) {
+	i := slices.Index(d.st.services, req.Service)
 	values := make([]float64, req.Points)
-	for i := range values {
-		values[i] = req.From + (req.To-req.From)*float64(i)/float64(req.Points-1)
+	for k := range values {
+		values[k] = req.From + (req.To-req.From)*float64(k)/float64(req.Points-1)
 	}
 	points, err := sweep.Run(values, func(v float64) (SweepPoint, error) {
 		if err := ctx.Err(); err != nil {
 			return SweepPoint{}, err
 		}
-		body, err := e.Evaluate(spec, map[string]float64{req.Service: v})
+		avail := slices.Clone(d.avail)
+		avail[i] = v
+		mod, err := e.render(d, avail)
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		var resp EvalResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
+		// Each point is a what-if, so an invalid baseline fails it.
+		if _, err := e.render(d, d.avail); err != nil {
 			return SweepPoint{}, err
 		}
-		return SweepPoint{ServiceAvailability: v, UserAvailability: resp.UserAvailability}, nil
+		return SweepPoint{ServiceAvailability: v, UserAvailability: mod.user}, nil
 	}, sweep.Options{Workers: e.workers})
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(SweepResponse{Model: spec.Name, Service: req.Service, Points: points})
+	return json.Marshal(SweepResponse{Model: d.name, Service: req.Service, Points: points})
 }

@@ -36,7 +36,7 @@ func (e *Evaluator) Figure(n int) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: figure %d (have 11, 12)", ErrNotFound, n)
 	}
-	return e.memo.Do(fmt.Sprintf("figure:%d", n), func() ([]byte, error) {
+	return e.cached(fmt.Sprintf("figure:%d", n), func() ([]byte, error) {
 		lambdas := []float64{1e-2, 1e-3, 1e-4}
 		alphas := []float64{50, 100, 150}
 		servers := make([]int, 10)
@@ -98,7 +98,7 @@ type Table8Response struct {
 // Table8 evaluates the Table 8 rows through the batch evaluator's worker
 // pool; the rendered body is memoized across requests.
 func (e *Evaluator) Table8() ([]byte, error) {
-	return e.memo.Do("table:8", func() ([]byte, error) {
+	return e.cached("table:8", func() ([]byte, error) {
 		ns := []int{1, 2, 3, 4, 5, 10}
 		ps := make([]travelagency.Params, len(ns))
 		for i, n := range ns {
@@ -124,4 +124,13 @@ func (e *Evaluator) Table8() ([]byte, error) {
 		}
 		return json.Marshal(resp)
 	})
+}
+
+// cached memoizes a rendered body that has no headline number.
+func (e *Evaluator) cached(key string, compute func() ([]byte, error)) ([]byte, error) {
+	r, err := e.memo.Do(key, func() (rendered, error) {
+		body, err := compute()
+		return rendered{body: body}, err
+	})
+	return r.body, err
 }

@@ -145,6 +145,38 @@ func (s *Server) registerMetrics() error {
 		func() float64 { _, _, _, n := s.eval.MemoStats(); return float64(n) }); err != nil {
 		return err
 	}
+	// The structure and document caches behind the response memo.
+	caches := []struct {
+		hits, misses, evicted, entries, what string
+		stats                                func() CacheStats
+	}{
+		{"availd_structure_cache_hits_total", "availd_structure_cache_misses_total",
+			"availd_structure_cache_evicted_total", "availd_structure_cache_entries",
+			"compiled model structure cache",
+			func() CacheStats { _, st, _ := s.eval.CacheStats(); return st }},
+		{"availd_document_cache_hits_total", "availd_document_cache_misses_total",
+			"availd_document_cache_evicted_total", "availd_document_cache_entries",
+			"resolved spec document cache",
+			func() CacheStats { _, _, st := s.eval.CacheStats(); return st }},
+	}
+	for _, c := range caches {
+		if err := s.reg.CounterFunc(c.hits, c.what+" hits",
+			func() int64 { return c.stats().Hits }); err != nil {
+			return err
+		}
+		if err := s.reg.CounterFunc(c.misses, c.what+" misses",
+			func() int64 { return c.stats().Misses }); err != nil {
+			return err
+		}
+		if err := s.reg.CounterFunc(c.evicted, c.what+" entries dropped by the size bound",
+			func() int64 { return c.stats().Evicted }); err != nil {
+			return err
+		}
+		if err := s.reg.GaugeFunc(c.entries, c.what+" entries resident",
+			func() float64 { return float64(c.stats().Entries) }); err != nil {
+			return err
+		}
+	}
 	jobCounter := func(name, help string, fn func() int64) error {
 		return s.reg.CounterFunc(name, help, fn)
 	}
@@ -325,14 +357,32 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeBody decodes a JSON request body strictly (unknown fields rejected).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// Request body limits. A what-if or sweep body carries one spec document,
+// and the travel agency's is about 5 KB; a drift upload carries raw spans,
+// about 140 bytes each.
+const (
+	maxBodyBytes      = 1 << 20
+	maxDriftBodyBytes = 32 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes strictly
+// (unknown fields rejected). On failure it writes the response — 413 above
+// the limit, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("malformed request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("malformed request body: %v", err)})
+	return false
 }
 
 // --- scenario CRUD -------------------------------------------------------
@@ -350,8 +400,7 @@ func (s *Server) handleListScenarios(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateScenario(w http.ResponseWriter, r *http.Request) {
 	var body scenarioBody
-	if err := decodeBody(r, &body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if !decodeBody(w, r, maxBodyBytes, &body) {
 		return
 	}
 	sc, err := s.store.Create(body.Name, body.Spec)
@@ -373,8 +422,7 @@ func (s *Server) handleGetScenario(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleUpdateScenario(w http.ResponseWriter, r *http.Request) {
 	var body scenarioBody
-	if err := decodeBody(r, &body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if !decodeBody(w, r, maxBodyBytes, &body) {
 		return
 	}
 	sc, err := s.store.Update(r.PathValue("name"), body.Version, body.Spec)
@@ -404,41 +452,43 @@ func (s *Server) handleDeleteScenario(w http.ResponseWriter, r *http.Request) {
 
 // --- evaluation ----------------------------------------------------------
 
-// resolveSpec turns an eval/sweep request into a parsed spec: exactly one of
-// scenario (store lookup) or inline spec.
-func (s *Server) resolveSpec(scenario string, inline json.RawMessage) (*modelspec.Spec, error) {
+// specDocument returns the spec document a request names: exactly one of a
+// stored scenario or an inline spec.
+func (s *Server) specDocument(scenario string, inline json.RawMessage) ([]byte, error) {
 	switch {
 	case scenario != "" && inline != nil:
 		return nil, fmt.Errorf("%w: give either scenario or spec, not both", ErrInvalid)
 	case scenario != "":
 		sc, err := s.store.Get(scenario)
-		if err != nil {
-			return nil, err
-		}
-		return modelspec.Parse(sc.Spec)
+		return sc.Spec, err
 	case inline != nil:
-		spec, err := modelspec.Parse(inline)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		return spec, nil
+		return inline, nil
 	default:
 		return nil, fmt.Errorf("%w: give a scenario name or an inline spec", ErrInvalid)
 	}
 }
 
+// resolveDocument resolves a request's spec document through the
+// evaluator's document cache.
+func (s *Server) resolveDocument(scenario string, inline json.RawMessage) (*document, error) {
+	raw, err := s.specDocument(scenario, inline)
+	if err != nil {
+		return nil, err
+	}
+	return s.eval.documentFor(raw)
+}
+
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
-	spec, err := s.resolveSpec(req.Scenario, req.Spec)
+	d, err := s.resolveDocument(req.Scenario, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	body, err := s.eval.Evaluate(spec, req.Overrides)
+	body, err := s.eval.evaluate(d, req.Overrides)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -450,16 +500,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
-	spec, err := s.resolveSpec(req.Scenario, req.Spec)
+	d, err := s.resolveDocument(req.Scenario, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := req.validate(spec); err != nil {
+	if err := req.validate(d); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -469,7 +518,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := s.jobs.Submit("sweep", request, func(ctx context.Context) ([]byte, error) {
-		return s.eval.Sweep(ctx, spec, req)
+		return s.eval.runSweep(ctx, d, req)
 	})
 	if err != nil {
 		writeError(w, err)
@@ -526,15 +575,14 @@ func (s *Server) handleTable8(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is the /api/v1/stats body: cache and job-engine health.
+// Memo is the response cache; Structures and Documents are the compiled
+// structure and resolved document caches behind it.
 type StatsResponse struct {
-	Scenarios int `json:"scenarios"`
-	Memo      struct {
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-		Evicted int64 `json:"evicted"`
-		Entries int   `json:"entries"`
-	} `json:"memo"`
-	Composer struct {
+	Scenarios  int        `json:"scenarios"`
+	Memo       CacheStats `json:"memo"`
+	Structures CacheStats `json:"structures"`
+	Documents  CacheStats `json:"documents"`
+	Composer   struct {
 		RepairHits   int64 `json:"repairHits"`
 		RepairMisses int64 `json:"repairMisses"`
 		LossHits     int64 `json:"lossHits"`
@@ -546,7 +594,7 @@ type StatsResponse struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp StatsResponse
 	resp.Scenarios = s.store.Len()
-	resp.Memo.Hits, resp.Memo.Misses, resp.Memo.Evicted, resp.Memo.Entries = s.eval.MemoStats()
+	resp.Memo, resp.Structures, resp.Documents = s.eval.CacheStats()
 	resp.Composer.RepairHits, resp.Composer.RepairMisses,
 		resp.Composer.LossHits, resp.Composer.LossMisses = s.eval.Composer().CacheStats()
 	resp.Jobs = s.jobs.Stats()

@@ -3,6 +3,8 @@ package modelspec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 )
 
 // Canonical returns the spec's canonical JSON serialization: a validated,
@@ -33,6 +35,41 @@ func (s *Spec) CanonicalKey() (string, error) {
 		return "", err
 	}
 	return string(data), nil
+}
+
+// StructureKey splits the canonical form in two. key is Canonical with the
+// name and every fixed service availability left out: what a model built by
+// BuildStructure depends on. avail is the availability vector, one entry per
+// service in declaration order: the fixed availability, or NaN for a group
+// service, whose availability the structure derives from its replicas.
+// Canonical(a) equals Canonical(b) exactly when a and b agree on key, on
+// Name and on the bits of avail, so the triple stands in for CanonicalKey.
+func (s *Spec) StructureKey() (key string, avail []float64, err error) {
+	if err := s.validate(); err != nil {
+		return "", nil, err
+	}
+	n := s.normalized()
+	n.Name = ""
+	avail = make([]float64, len(n.Services))
+	for i := range n.Services {
+		svc := &n.Services[i]
+		if svc.Availability == nil {
+			avail[i] = math.NaN()
+			continue
+		}
+		a := *svc.Availability
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			// Canonical fails on the same value when it marshals it.
+			return "", nil, fmt.Errorf("%w: %v", ErrSpec,
+				&json.UnsupportedValueError{Str: strconv.FormatFloat(a, 'g', -1, 64)})
+		}
+		avail[i], svc.Availability = a, nil
+	}
+	data, err := json.Marshal(n)
+	if err != nil {
+		return "", nil, fmt.Errorf("%w: %v", ErrSpec, err)
+	}
+	return string(data), avail, nil
 }
 
 // normalized returns a deep copy with every implicit default made explicit,

@@ -147,6 +147,18 @@ func (s *Spec) validate() error {
 
 // Build assembles the hierarchy model described by the spec.
 func (s *Spec) Build() (*hierarchy.Model, error) {
+	return s.build(false)
+}
+
+// BuildStructure is Build with every fixed service at availability 1: the
+// model shared by every spec with the same StructureKey, to be evaluated
+// with each spec's own availabilities (hierarchy.Model.EvaluateWith). A
+// fixed availability outside [0, 1] therefore cannot fail it.
+func (s *Spec) BuildStructure() (*hierarchy.Model, error) {
+	return s.build(true)
+}
+
+func (s *Spec) build(fixedAtOne bool) (*hierarchy.Model, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -154,7 +166,11 @@ func (s *Spec) Build() (*hierarchy.Model, error) {
 	for _, svc := range s.Services {
 		switch {
 		case svc.Availability != nil:
-			if err := m.AddService(svc.Name, *svc.Availability); err != nil {
+			a := *svc.Availability
+			if fixedAtOne {
+				a = 1
+			}
+			if err := m.AddService(svc.Name, a); err != nil {
 				return nil, err
 			}
 		default:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hierarchy"
 	"repro/internal/rbd"
+	"repro/internal/sweep"
 	"repro/internal/webfarm"
 )
 
@@ -150,8 +151,9 @@ var serviceNames = []string{
 
 // newModel assembles the structure of the TA model for one class: the nine
 // services, the five function diagrams and the class's scenarios. The
-// services are declared at availability 1 until setServices refreshes them;
-// the model depends on p only through diagramKeyOf(p).
+// services are declared at availability 1, to be refreshed by setServices or
+// overridden per evaluation; the model depends on p only through
+// diagramKeyOf(p).
 func newModel(p Params, class UserClass) (*hierarchy.Model, error) {
 	m := hierarchy.New()
 	for _, svc := range serviceNames {
@@ -189,27 +191,61 @@ func setServices(m *hierarchy.Model, avail map[string]float64) error {
 	return nil
 }
 
-// Evaluate builds and evaluates the TA model for one user class.
-func Evaluate(p Params, class UserClass) (*hierarchy.Report, error) {
-	m, err := Build(p, class)
-	if err != nil {
-		return nil, err
-	}
-	return m.Evaluate()
+// modelKey identifies a TA model structure: the user class and the
+// diagram inputs.
+type modelKey struct {
+	class    UserClass
+	diagrams diagramKey
 }
 
-// EvaluateWithComposer builds and evaluates the TA model with the web-farm
-// solve routed through a shared Composer. Inside a control loop — where the
-// same (servers, buffer) candidates recur tick after tick at varying
-// arrival rates — the memoized repair chains make each re-evaluation cost
-// only the incremental queueing solves, keeping the full hierarchy solve in
-// the microsecond range.
-func EvaluateWithComposer(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Report, error) {
-	m, err := buildWith(p, class, comp)
+// modelCacheLimit bounds the process-wide model cache; a sweep over the
+// diagram inputs would otherwise grow it without limit.
+const modelCacheLimit = 64
+
+// models caches one TA model structure per modelKey for the whole process.
+// Its services stay at availability 1: every evaluation passes its own
+// availabilities to EvaluateWith, which never mutates the model, so
+// concurrent callers share the cached models and their compiled user layer.
+var models = func() *sweep.Memo[modelKey, *hierarchy.Model] {
+	m := new(sweep.Memo[modelKey, *hierarchy.Model])
+	m.SetLimit(modelCacheLimit)
+	return m
+}()
+
+// evaluate computes the service availabilities of p (validating it) with
+// the web-farm solve routed through comp, when non-nil, and evaluates the
+// cached model structure of (class, p) with them.
+func evaluate(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Report, error) {
+	avail, err := serviceAvailabilities(p, comp)
 	if err != nil {
 		return nil, err
 	}
-	return m.Evaluate()
+	key := modelKey{class: class, diagrams: diagramKeyOf(p)}
+	m, err, ok := models.Get(key)
+	if !ok {
+		m, err = models.Do(key, func() (*hierarchy.Model, error) { return newModel(p, class) })
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m.EvaluateWith(avail)
+}
+
+// Evaluate evaluates the TA model for one user class. The model structure
+// comes from a process-wide cache, so only the service availabilities and
+// the compiled user-layer arithmetic are computed per call; the report is
+// bit-identical to evaluating a fresh Build.
+func Evaluate(p Params, class UserClass) (*hierarchy.Report, error) {
+	return evaluate(p, class, nil)
+}
+
+// EvaluateWithComposer is Evaluate with the web-farm solve routed through a
+// shared Composer. Inside a control loop — where the same (servers, buffer)
+// candidates recur tick after tick at varying arrival rates — the memoized
+// repair chains make each re-evaluation cost only the incremental queueing
+// solves, keeping the full hierarchy solve in the microsecond range.
+func EvaluateWithComposer(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Report, error) {
+	return evaluate(p, class, comp)
 }
 
 // CategoryUnavailability computes the Figure 13 decomposition: the

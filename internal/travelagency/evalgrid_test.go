@@ -228,3 +228,51 @@ func TestDiagramKeyCoversDiagramInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateCacheMatchesFreshBuild sweeps the Browse branch
+// probabilities over more diagram keys than the process-wide model cache
+// holds, twice, so later cells evaluate models rebuilt after evictions.
+// Serial Evaluate must match a fresh Build and Evaluate bit for bit in
+// every report field.
+func TestEvaluateCacheMatchesFreshBuild(t *testing.T) {
+	evicted := models.Evicted()
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i <= modelCacheLimit; i++ {
+			p := DefaultParams()
+			p.Q23 = 0.2 + 0.6*float64(i)/modelCacheLimit
+			p.Q24 = 1 - p.Q23
+			p.WebServers = 1 + i%4
+			for _, class := range []UserClass{ClassA, ClassB} {
+				m, err := Build(p, class)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := m.Evaluate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cached, err := Evaluate(p, class)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(cached)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("pass %d cell %d class %v: cached model differs from a fresh build\ncached: %s\nfresh:  %s", pass, i, class, got, want)
+				}
+			}
+		}
+	}
+	if models.Evicted() == evicted {
+		t.Fatal("the sweep did not evict the model cache")
+	}
+	if n := models.Len(); n > modelCacheLimit {
+		t.Fatalf("model cache holds %d entries, limit %d", n, modelCacheLimit)
+	}
+}
