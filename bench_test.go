@@ -123,22 +123,7 @@ func BenchmarkFigure2Fit(b *testing.B) {
 	for _, sc := range scenarios {
 		targets = append(targets, opprofile.Scenario{Functions: sc.Functions, Probability: sc.Probability})
 	}
-	edges := []opprofile.Edge{
-		{From: opprofile.Start, To: travelagency.FnHome},
-		{From: opprofile.Start, To: travelagency.FnBrowse},
-		{From: travelagency.FnHome, To: travelagency.FnBrowse},
-		{From: travelagency.FnHome, To: travelagency.FnSearch},
-		{From: travelagency.FnHome, To: opprofile.Exit},
-		{From: travelagency.FnBrowse, To: travelagency.FnHome},
-		{From: travelagency.FnBrowse, To: travelagency.FnSearch},
-		{From: travelagency.FnBrowse, To: opprofile.Exit},
-		{From: travelagency.FnSearch, To: travelagency.FnBook},
-		{From: travelagency.FnSearch, To: opprofile.Exit},
-		{From: travelagency.FnBook, To: travelagency.FnSearch},
-		{From: travelagency.FnBook, To: travelagency.FnPay},
-		{From: travelagency.FnBook, To: opprofile.Exit},
-		{From: travelagency.FnPay, To: opprofile.Exit},
-	}
+	edges := travelagency.Figure2Edges()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := opprofile.Fit(edges, targets, optimize.Options{MaxIterations: 2000})

@@ -82,15 +82,11 @@ func run(args []string, w io.Writer) error {
 	}
 	defer api.Close()
 
-	mux := http.NewServeMux()
-	api.Register(mux)
-	obs.NewServer(reg, tracer).Register(mux)
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := newHTTPServer(api, reg, tracer)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
@@ -107,4 +103,13 @@ func run(args []string, w io.Writer) error {
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
+}
+
+// newHTTPServer mounts the API and the observability plane on one mux,
+// behind the obs connection limits.
+func newHTTPServer(api *availd.Server, reg *obs.Registry, tracer *obs.Tracer) *http.Server {
+	mux := http.NewServeMux()
+	api.Register(mux)
+	obs.NewServer(reg, tracer).Register(mux)
+	return obs.NewHTTPServer(mux)
 }

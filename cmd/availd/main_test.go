@@ -11,6 +11,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/availd"
+	"repro/internal/obs"
 )
 
 // syncBuffer lets the test poll output written by the server goroutine.
@@ -134,3 +137,24 @@ const quickSpec = `{
   }],
   "scenarios": [{"name": "visit", "functions": ["Browse"], "probability": 1}]
 }`
+
+// TestHTTPServerTimeouts: the served mux carries every obs connection limit.
+func TestHTTPServerTimeouts(t *testing.T) {
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(16)
+	api, err := availd.New(availd.Options{Registry: reg, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
+	srv := newHTTPServer(api, reg, tracer)
+	if srv.ReadHeaderTimeout != obs.ReadHeaderTimeout || srv.ReadTimeout != obs.ReadTimeout ||
+		srv.WriteTimeout != obs.WriteTimeout || srv.IdleTimeout != obs.IdleTimeout {
+		t.Errorf("timeouts = %v/%v/%v/%v, want %v/%v/%v/%v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout,
+			obs.ReadHeaderTimeout, obs.ReadTimeout, obs.WriteTimeout, obs.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("no handler")
+	}
+}

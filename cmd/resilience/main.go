@@ -19,10 +19,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/hierarchy"
 	"repro/internal/interaction"
 	"repro/internal/opprofile"
-	"repro/internal/optimize"
 	"repro/internal/report"
 	"repro/internal/resilience"
 	"repro/internal/sim"
@@ -85,40 +83,6 @@ func run(args []string, w io.Writer) error {
 	return analyticTable(w, params, *mttr)
 }
 
-// fitProfile calibrates the Figure 2 operational profile to the class's
-// Table 1 scenario probabilities (same edge set as cmd/availsim).
-func fitProfile(class travelagency.UserClass) (*opprofile.Profile, error) {
-	scenarios, err := travelagency.Scenarios(class)
-	if err != nil {
-		return nil, err
-	}
-	targets := make([]opprofile.Scenario, 0, len(scenarios))
-	for _, sc := range scenarios {
-		targets = append(targets, opprofile.Scenario{Functions: sc.Functions, Probability: sc.Probability})
-	}
-	edges := []opprofile.Edge{
-		{From: opprofile.Start, To: travelagency.FnHome},
-		{From: opprofile.Start, To: travelagency.FnBrowse},
-		{From: travelagency.FnHome, To: travelagency.FnBrowse},
-		{From: travelagency.FnHome, To: travelagency.FnSearch},
-		{From: travelagency.FnHome, To: opprofile.Exit},
-		{From: travelagency.FnBrowse, To: travelagency.FnHome},
-		{From: travelagency.FnBrowse, To: travelagency.FnSearch},
-		{From: travelagency.FnBrowse, To: opprofile.Exit},
-		{From: travelagency.FnSearch, To: travelagency.FnBook},
-		{From: travelagency.FnSearch, To: opprofile.Exit},
-		{From: travelagency.FnBook, To: travelagency.FnSearch},
-		{From: travelagency.FnBook, To: travelagency.FnPay},
-		{From: travelagency.FnBook, To: opprofile.Exit},
-		{From: travelagency.FnPay, To: opprofile.Exit},
-	}
-	fit, err := opprofile.Fit(edges, targets, optimize.Options{MaxIterations: 8000})
-	if err != nil {
-		return nil, err
-	}
-	return fit.Profile, nil
-}
-
 // renewalCampaign turns a service-availability map into an alternating-
 // renewal fault campaign with the given mean outage duration.
 func renewalCampaign(avail map[string]float64, mttr float64) (resilience.Campaign, error) {
@@ -165,10 +129,11 @@ func splitSuppliers(params travelagency.Params, avail map[string]float64, mttr f
 }
 
 func policyTable(w io.Writer, params travelagency.Params, class travelagency.UserClass, visits int64, mttr float64, seed int64) error {
-	profile, err := fitProfile(class)
+	fit, err := travelagency.FitProfile(class)
 	if err != nil {
 		return err
 	}
+	profile := fit.Profile
 	diagrams, err := travelagency.Diagrams(params)
 	if err != nil {
 		return err
@@ -177,7 +142,7 @@ func policyTable(w io.Writer, params travelagency.Params, class travelagency.Use
 	if err != nil {
 		return err
 	}
-	analytic, err := analyticUserAvailability(profile, diagrams, avail)
+	analytic, err := analyticUserAvailability(params, class, profile)
 	if err != nil {
 		return err
 	}
@@ -240,17 +205,10 @@ func policyTable(w io.Writer, params travelagency.Params, class travelagency.Use
 
 // analyticUserAvailability evaluates the hierarchy model on the fitted
 // profile — the closed-form counterpart of the no-policy simulation rows.
-func analyticUserAvailability(profile *opprofile.Profile, diagrams map[string]*interaction.Diagram, avail map[string]float64) (float64, error) {
-	model := hierarchy.New()
-	for svc, a := range avail {
-		if err := model.AddService(svc, a); err != nil {
-			return 0, err
-		}
-	}
-	for _, d := range diagrams {
-		if err := model.AddFunction(d); err != nil {
-			return 0, err
-		}
+func analyticUserAvailability(params travelagency.Params, class travelagency.UserClass, profile *opprofile.Profile) (float64, error) {
+	model, err := travelagency.Build(params, class)
+	if err != nil {
+		return 0, err
 	}
 	if err := model.SetProfile(profile); err != nil {
 		return 0, err
@@ -267,10 +225,11 @@ func analyticUserAvailability(profile *opprofile.Profile, diagrams map[string]*i
 // timeout the user waits out the spike (availability intact, visits slow);
 // with one, spiked steps are cut off at the deadline and fail fast.
 func latencyTable(w io.Writer, params travelagency.Params, class travelagency.UserClass, visits int64, seed int64) error {
-	profile, err := fitProfile(class)
+	fit, err := travelagency.FitProfile(class)
 	if err != nil {
 		return err
 	}
+	profile := fit.Profile
 	diagrams, err := travelagency.Diagrams(params)
 	if err != nil {
 		return err

@@ -231,7 +231,7 @@ func runLoadDerivation(w io.Writer, csv bool) error {
 		fmt.Sprintf("Load derivation — %g visits/s through the calibrated Figure 2 profile", visitsPerSecond),
 		"class", "E[invocations/visit]", "α (req/s)", "UA(WS) at α")
 	for _, class := range []travelagency.UserClass{travelagency.ClassA, travelagency.ClassB} {
-		fit, err := fitProfile(class)
+		fit, err := travelagency.FitProfile(class)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/opprofile"
-	"repro/internal/optimize"
 	"repro/internal/repairmodel"
 	"repro/internal/report"
 	"repro/internal/sweep"
@@ -13,57 +12,18 @@ import (
 	"repro/internal/webfarm"
 )
 
-// figure2Edges is the transition structure of the Figure 2 operational
-// profile graph.
-func figure2Edges() []opprofile.Edge {
-	const (
-		st = opprofile.Start
-		ex = opprofile.Exit
-		ho = travelagency.FnHome
-		br = travelagency.FnBrowse
-		se = travelagency.FnSearch
-		bo = travelagency.FnBook
-		pa = travelagency.FnPay
-	)
-	return []opprofile.Edge{
-		{From: st, To: ho}, {From: st, To: br},
-		{From: ho, To: br}, {From: ho, To: se}, {From: ho, To: ex},
-		{From: br, To: ho}, {From: br, To: se}, {From: br, To: ex},
-		{From: se, To: bo}, {From: se, To: ex},
-		{From: bo, To: se}, {From: bo, To: pa}, {From: bo, To: ex},
-		{From: pa, To: ex},
-	}
-}
-
-// fitProfile calibrates Figure 2 transition probabilities to the Table 1
-// scenario probabilities of one user class.
-func fitProfile(class travelagency.UserClass) (opprofile.FitResult, error) {
-	scenarios, err := travelagency.Scenarios(class)
-	if err != nil {
-		return opprofile.FitResult{}, err
-	}
-	targets := make([]opprofile.Scenario, 0, len(scenarios))
-	for _, sc := range scenarios {
-		targets = append(targets, opprofile.Scenario{
-			Functions:   sc.Functions,
-			Probability: sc.Probability,
-		})
-	}
-	return opprofile.Fit(figure2Edges(), targets, optimize.Options{MaxIterations: 8000})
-}
-
 // runFigure2 calibrates the Figure 2 graph to Table 1 and reports the
 // fitted transition probabilities and achieved scenario probabilities.
 func runFigure2(w io.Writer, csv bool) error {
 	for _, class := range []travelagency.UserClass{travelagency.ClassA, travelagency.ClassB} {
-		res, err := fitProfile(class)
+		res, err := travelagency.FitProfile(class)
 		if err != nil {
 			return err
 		}
 		tbl := report.NewTable(
 			fmt.Sprintf("Figure 2 — fitted transition probabilities, %v (RMS residual %.2e)", class, res.Residual),
 			"from", "to", "p_ij")
-		for _, e := range figure2Edges() {
+		for _, e := range travelagency.Figure2Edges() {
 			p := res.Profile.TransitionProbability(e.From, e.To)
 			if err := tbl.AddRow(e.From, e.To, report.Fixed(p, 4)); err != nil {
 				return err

@@ -99,6 +99,70 @@ func TestValidationExperiments(t *testing.T) {
 	if !strings.Contains(out, "0.9999955869") || !strings.Contains(out, "joint-process simulation") {
 		t.Errorf("validate-ws output:\n%s", out)
 	}
+	if again := runCapture(t, "-experiment", "validate-ws"); again != out {
+		t.Errorf("validate-ws is not deterministic:\n%s\n---\n%s", out, again)
+	}
+}
+
+// TestValidateWS checks the A(WS) cross-validation rows: the closed form,
+// the CTMC and GSPN solves at the Table 7 point, and the closed form against
+// the joint-process simulation at the accelerated point.
+func TestValidateWS(t *testing.T) {
+	out := runCapture(t, "-experiment", "validate-ws")
+	for _, want := range []string{
+		"Table 7          closed form (eqs. 3, 6-9)            0.9999955869",
+		"Table 7          compiled CTMC solver (GTH)           0.9999955869",
+		"Table 7          stochastic Petri net (GSPN)          0.9999955869",
+		"accelerated      closed form                          0.977097",
+		"accelerated      compiled CTMC solver (GTH)           0.977097",
+		"accelerated      joint-process simulation (±1.7e-03)  0.977596",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("validate-ws output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestValidateWSDeterministic checks that the seeded farm simulation gives
+// byte-identical reports across runs, in both table and CSV form.
+func TestValidateWSDeterministic(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "validate-ws"},
+		{"-experiment", "validate-ws", "-csv"},
+	} {
+		a, b := runCapture(t, args...), runCapture(t, args...)
+		if a != b {
+			t.Errorf("%v is not deterministic:\n%s\n---\n%s", args, a, b)
+		}
+	}
+}
+
+// TestValidateUser checks the A(user) cross-validation: the hierarchy,
+// equation (10), the hierarchy on the fitted Figure 2 profile and the visit
+// simulation, for both classes, with the fitted-profile and simulated
+// figures pinned, byte-identical across runs.
+func TestValidateUser(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulations are slow in -short mode")
+	}
+	out := runCapture(t, "-experiment", "validate-user")
+	for _, want := range []string{
+		"class A  hierarchy evaluation         0.9788174120",
+		"class A  equation (10)                0.9788174120",
+		"class A  hierarchy on fitted profile  0.9788177035",
+		"class A  visit simulation (±5.2e-04)  0.9784566667",
+		"class B  hierarchy evaluation         0.9648163884",
+		"class B  equation (10)                0.9648163884",
+		"class B  hierarchy on fitted profile  0.9648230011",
+		"class B  visit simulation (±6.5e-04)  0.9652933333",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("validate-user output missing %q:\n%s", want, out)
+		}
+	}
+	if again := runCapture(t, "-experiment", "validate-user"); again != out {
+		t.Errorf("validate-user is not deterministic:\n%s\n---\n%s", out, again)
+	}
 }
 
 func TestAblationExperiments(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"repro/internal/ctmc"
-	"repro/internal/hierarchy"
-	"repro/internal/interaction"
 	"repro/internal/probe"
 	"repro/internal/repairmodel"
 	"repro/internal/report"
@@ -149,30 +147,19 @@ func runValidateUser(w io.Writer, csv bool) error {
 		tbl.MustAddRow(class.String(), "equation (10)", report.Fixed(closed, 10))
 
 		// Simulation over a calibrated profile.
-		fit, err := fitProfile(class)
+		fit, err := travelagency.FitProfile(class)
 		if err != nil {
+			return err
+		}
+		model, err := travelagency.Build(p, class)
+		if err != nil {
+			return err
+		}
+		if err := model.SetProfile(fit.Profile); err != nil {
 			return err
 		}
 		diagrams, err := travelagency.Diagrams(p)
 		if err != nil {
-			return err
-		}
-		avail, err := travelagency.ServiceAvailabilities(p)
-		if err != nil {
-			return err
-		}
-		model := hierarchy.New()
-		for svc, a := range avail {
-			if err := model.AddService(svc, a); err != nil {
-				return err
-			}
-		}
-		for _, d := range diagramsInOrder(diagrams) {
-			if err := model.AddFunction(d); err != nil {
-				return err
-			}
-		}
-		if err := model.SetProfile(fit.Profile); err != nil {
 			return err
 		}
 		fitted, err := model.Evaluate()
@@ -182,7 +169,7 @@ func runValidateUser(w io.Writer, csv bool) error {
 		simulator := sim.VisitSimulator{
 			Profile:             fit.Profile,
 			Diagrams:            diagrams,
-			ServiceAvailability: avail,
+			ServiceAvailability: rep.Services,
 		}
 		res, err := simulator.Run(300000, 2003)
 		if err != nil {
@@ -194,17 +181,6 @@ func runValidateUser(w io.Writer, csv bool) error {
 			report.Fixed(res.Availability, 10))
 	}
 	return render(w, csv, tbl)
-}
-
-func diagramsInOrder(m map[string]*interaction.Diagram) []*interaction.Diagram {
-	out := make([]*interaction.Diagram, 0, len(m))
-	for _, fn := range []string{
-		travelagency.FnHome, travelagency.FnBrowse, travelagency.FnSearch,
-		travelagency.FnBook, travelagency.FnPay,
-	} {
-		out = append(out, m[fn])
-	}
-	return out
 }
 
 // runAblationCoverage sweeps the fault coverage.

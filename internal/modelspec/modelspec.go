@@ -1,11 +1,11 @@
 // Package modelspec defines a JSON representation of four-level
 // availability models and loads it into the hierarchy framework, so a model
-// can be authored, versioned and evaluated as data (cmd/modeleval) without
-// writing Go. The format covers the constructs the travel-agency study
-// needs: fixed-availability services, replicated (k-of-n) service groups,
-// interaction diagrams with branch probabilities and multi-service steps,
-// and a user level given either as explicit scenarios or as an operational
-// profile graph.
+// can be authored, versioned and evaluated as data (availd's
+// POST /api/v1/evaluate) without writing Go. The format covers the
+// constructs the travel-agency study needs: fixed-availability services,
+// replicated (k-of-n) service groups, interaction diagrams with branch
+// probabilities and multi-service steps, and a user level given either as
+// explicit scenarios or as an operational profile graph.
 //
 // Canonicalization is a determinism boundary: Canonical output is used as a
 // byte-compared cache key, so every function in this package is held to the
@@ -188,20 +188,9 @@ func (s *Spec) build(fixedAtOne bool) (*hierarchy.Model, error) {
 		}
 	}
 	for _, fn := range s.Functions {
-		d := interaction.New(fn.Name)
-		for _, step := range fn.Steps {
-			if err := d.AddStep(step.Name, step.Services...); err != nil {
-				return nil, fmt.Errorf("modelspec: function %q: %w", fn.Name, err)
-			}
-		}
-		for _, tr := range fn.Transitions {
-			p := tr.Probability
-			if p == 0 {
-				p = 1
-			}
-			if err := d.AddTransition(tr.From, tr.To, p); err != nil {
-				return nil, fmt.Errorf("modelspec: function %q: %w", fn.Name, err)
-			}
+		d, err := fn.Diagram()
+		if err != nil {
+			return nil, err
 		}
 		if err := m.AddFunction(d); err != nil {
 			return nil, err
@@ -235,6 +224,28 @@ func (s *Spec) build(fixedAtOne bool) (*hierarchy.Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Diagram builds the function's interaction diagram, reading a transition
+// probability of 0 as the default 1. The diagram is not validated; adding it
+// to a model does that.
+func (fn FunctionSpec) Diagram() (*interaction.Diagram, error) {
+	d := interaction.New(fn.Name)
+	for _, step := range fn.Steps {
+		if err := d.AddStep(step.Name, step.Services...); err != nil {
+			return nil, fmt.Errorf("modelspec: function %q: %w", fn.Name, err)
+		}
+	}
+	for _, tr := range fn.Transitions {
+		p := tr.Probability
+		if p == 0 {
+			p = 1
+		}
+		if err := d.AddTransition(tr.From, tr.To, p); err != nil {
+			return nil, fmt.Errorf("modelspec: function %q: %w", fn.Name, err)
+		}
+	}
+	return d, nil
 }
 
 // Evaluate parses, builds and evaluates a spec document in one call.

@@ -1,50 +1,26 @@
 package modelspec
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
 
-const quickstartSpec = `{
-  "name": "quickstart",
-  "services": [
-    {"name": "Web", "group": {"count": 2, "availability": 0.99}},
-    {"name": "DB", "availability": 0.995},
-    {"name": "Pay", "availability": 0.98}
-  ],
-  "functions": [
-    {
-      "name": "Landing",
-      "steps": [{"name": "serve", "services": ["Web"]}],
-      "transitions": [
-        {"from": "Begin", "to": "serve"},
-        {"from": "serve", "to": "End"}
-      ]
-    },
-    {
-      "name": "Checkout",
-      "steps": [
-        {"name": "cart", "services": ["Web"]},
-        {"name": "reserve", "services": ["DB"]},
-        {"name": "charge", "services": ["Pay"]}
-      ],
-      "transitions": [
-        {"from": "Begin", "to": "cart"},
-        {"from": "cart", "to": "reserve"},
-        {"from": "reserve", "to": "charge"},
-        {"from": "charge", "to": "End"}
-      ]
-    }
-  ],
-  "scenarios": [
-    {"name": "browse-only", "functions": ["Landing"], "probability": 0.7},
-    {"name": "buy", "functions": ["Landing", "Checkout"], "probability": 0.3}
-  ]
-}`
+// quickstartSpec reads the quickstart document: a two-replica web group,
+// a database and a payment service behind a Landing and a Checkout function.
+func quickstartSpec(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/quickstart.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
 
 func TestEvaluateQuickstartSpec(t *testing.T) {
-	rep, err := Evaluate([]byte(quickstartSpec))
+	rep, err := Evaluate([]byte(quickstartSpec(t)))
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -56,6 +32,29 @@ func TestEvaluateQuickstartSpec(t *testing.T) {
 	wantUser := 0.7*webAvail + 0.3*webAvail*0.995*0.98
 	if math.Abs(rep.UserAvailability-wantUser) > 1e-12 {
 		t.Errorf("A(user) = %v, want %v", rep.UserAvailability, wantUser)
+	}
+}
+
+// TestEvaluateQuickstartFile evaluates testdata/quickstart.json and checks
+// the nine-digit figures a report prints for it.
+func TestEvaluateQuickstartFile(t *testing.T) {
+	rep, err := Evaluate([]byte(quickstartSpec(t)))
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	for _, c := range []struct {
+		what string
+		got  float64
+		want string
+	}{
+		{"A(Web)", rep.Services["Web"], "0.999900000"},
+		{"A(Checkout)", rep.Functions["Checkout"], "0.975002490"},
+		{"A(Landing)", rep.Functions["Landing"], "0.999900000"},
+		{"A(user)", rep.UserAvailability, "0.992430747"},
+	} {
+		if got := fmt.Sprintf("%.9f", c.got); got != c.want {
+			t.Errorf("%s = %s, want %s", c.what, got, c.want)
+		}
 	}
 }
 
@@ -142,7 +141,7 @@ func TestBuildRejectsSemanticErrors(t *testing.T) {
 		t.Error("undeclared service accepted at build time")
 	}
 	// Scenario probabilities not summing to one.
-	bad := strings.Replace(quickstartSpec, `"probability": 0.3`, `"probability": 0.1`, 1)
+	bad := strings.Replace(quickstartSpec(t), `"probability": 0.3`, `"probability": 0.1`, 1)
 	parsed, err = Parse([]byte(bad))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)

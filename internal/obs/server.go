@@ -13,6 +13,29 @@ import (
 	"time"
 )
 
+// Connection limits of every HTTP server in the repository (the obs server
+// and availd), so a slow or stalled client cannot hold a connection open
+// indefinitely. WriteTimeout stays above the 30 s CPU profile that
+// /debug/pprof/profile records by default.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	ReadTimeout       = 30 * time.Second
+	WriteTimeout      = 60 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer returns an http.Server for h with the connection limits
+// above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		WriteTimeout:      WriteTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
+
 // Server exposes an observability plane over HTTP:
 //
 //	/metrics       Prometheus text exposition of the registry
@@ -147,7 +170,7 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.ln = ln
 	s.start = time.Now()
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = NewHTTPServer(s.Handler())
 	if err := s.reg.GaugeFunc("obs_uptime_seconds",
 		"seconds since the observability server started",
 		func() float64 { return time.Since(s.start).Seconds() }); err != nil {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, url string) (int, string, string) {
@@ -213,5 +214,28 @@ func TestRegisterSharedMux(t *testing.T) {
 	code, body, _ = get(t, "http://"+addr+"/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "shared_total 3") {
 		t.Errorf("standalone /metrics = %d %q", code, body)
+	}
+}
+
+// TestServerTimeouts: a started server carries every connection limit, and
+// the limits are positive with the write limit above pprof's default 30 s
+// CPU profile.
+func TestServerTimeouts(t *testing.T) {
+	s := NewServer(NewRegistry(), nil)
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	srv := s.srv
+	s.mu.Unlock()
+	if srv.ReadHeaderTimeout != ReadHeaderTimeout || srv.ReadTimeout != ReadTimeout ||
+		srv.WriteTimeout != WriteTimeout || srv.IdleTimeout != IdleTimeout {
+		t.Errorf("timeouts = %v/%v/%v/%v, want %v/%v/%v/%v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout,
+			ReadHeaderTimeout, ReadTimeout, WriteTimeout, IdleTimeout)
+	}
+	if ReadHeaderTimeout <= 0 || ReadTimeout < ReadHeaderTimeout || IdleTimeout <= 0 || WriteTimeout <= 30*time.Second {
+		t.Errorf("limits out of range: %v/%v/%v/%v", ReadHeaderTimeout, ReadTimeout, WriteTimeout, IdleTimeout)
 	}
 }

@@ -15,13 +15,6 @@ func ServiceAvailabilities(p Params) (map[string]float64, error) {
 	return serviceAvailabilities(p, nil)
 }
 
-// ServiceAvailabilitiesWith is ServiceAvailabilities with the web-farm solve
-// routed through a shared Composer, so repeated evaluations across a sweep —
-// or inside a control loop — reuse memoized repair and queueing solutions.
-func ServiceAvailabilitiesWith(p Params, comp *webfarm.Composer) (map[string]float64, error) {
-	return serviceAvailabilities(p, comp)
-}
-
 func serviceAvailabilities(p Params, comp *webfarm.Composer) (map[string]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -117,78 +110,20 @@ func WebFarm(p Params) webfarm.Farm {
 	}
 }
 
-// Build assembles the full four-level TA model for one user class.
+// Build assembles the full four-level TA model for one user class: the
+// model SpecForClass describes.
 func Build(p Params, class UserClass) (*hierarchy.Model, error) {
-	return buildWith(p, class, nil)
+	return BuildWith(p, class, nil)
 }
 
 // BuildWith is Build with the web-farm solve routed through a shared
 // Composer.
 func BuildWith(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Model, error) {
-	return buildWith(p, class, comp)
-}
-
-func buildWith(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Model, error) {
-	avail, err := serviceAvailabilities(p, comp)
+	s, err := resolvedSpec(p, class, comp)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newModel(p, class)
-	if err != nil {
-		return nil, err
-	}
-	if err := setServices(m, avail); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// serviceNames is the TA's service declaration order.
-var serviceNames = []string{
-	SvcInternet, SvcLAN, SvcWeb, SvcApp, SvcDB,
-	SvcFlight, SvcHotel, SvcCar, SvcPayment,
-}
-
-// newModel assembles the structure of the TA model for one class: the nine
-// services, the five function diagrams and the class's scenarios. The
-// services are declared at availability 1, to be refreshed by setServices or
-// overridden per evaluation; the model depends on p only through
-// diagramKeyOf(p).
-func newModel(p Params, class UserClass) (*hierarchy.Model, error) {
-	m := hierarchy.New()
-	for _, svc := range serviceNames {
-		if err := m.AddService(svc, 1); err != nil {
-			return nil, err
-		}
-	}
-	diagrams, err := Diagrams(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, fn := range []string{FnHome, FnBrowse, FnSearch, FnBook, FnPay} {
-		if err := m.AddFunction(diagrams[fn]); err != nil {
-			return nil, err
-		}
-	}
-	scenarios, err := Scenarios(class)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.SetScenarios(scenarios); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// setServices refreshes the model's service availabilities, walking the
-// services in declaration order so batch evaluation stays deterministic.
-func setServices(m *hierarchy.Model, avail map[string]float64) error {
-	for _, svc := range serviceNames {
-		if err := m.SetServiceAvailability(svc, avail[svc]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Build()
 }
 
 // modelKey identifies a TA model structure: the user class and the
@@ -202,10 +137,11 @@ type modelKey struct {
 // diagram inputs would otherwise grow it without limit.
 const modelCacheLimit = 64
 
-// models caches one TA model structure per modelKey for the whole process.
-// Its services stay at availability 1: every evaluation passes its own
-// availabilities to EvaluateWith, which never mutates the model, so
-// concurrent callers share the cached models and their compiled user layer.
+// models caches one TA model structure, spec(p, class).BuildStructure(), per
+// modelKey for the whole process. Its services stay at availability 1: every
+// evaluation passes its own availabilities to EvaluateWith, which never
+// mutates the model, so concurrent callers share the cached models and their
+// compiled user layer.
 var models = func() *sweep.Memo[modelKey, *hierarchy.Model] {
 	m := new(sweep.Memo[modelKey, *hierarchy.Model])
 	m.SetLimit(modelCacheLimit)
@@ -223,7 +159,13 @@ func evaluate(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Rep
 	key := modelKey{class: class, diagrams: diagramKeyOf(p)}
 	m, err, ok := models.Get(key)
 	if !ok {
-		m, err = models.Do(key, func() (*hierarchy.Model, error) { return newModel(p, class) })
+		m, err = models.Do(key, func() (*hierarchy.Model, error) {
+			s, err := spec(p, class)
+			if err != nil {
+				return nil, err
+			}
+			return s.BuildStructure()
+		})
 	}
 	if err != nil {
 		return nil, err

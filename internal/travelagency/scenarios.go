@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/hierarchy"
+	"repro/internal/opprofile"
+	"repro/internal/optimize"
 )
 
 // UserClass identifies one of the paper's two customer profiles (Table 1).
@@ -104,6 +106,50 @@ func Scenarios(class UserClass) ([]hierarchy.UserScenario, error) {
 		})
 	}
 	return out, nil
+}
+
+// Figure2Edges is the transition structure of the Figure 2 operational
+// profile graph.
+//
+//ta:deterministic
+func Figure2Edges() []opprofile.Edge {
+	const (
+		st = opprofile.Start
+		ex = opprofile.Exit
+		ho = FnHome
+		br = FnBrowse
+		se = FnSearch
+		bo = FnBook
+		pa = FnPay
+	)
+	return []opprofile.Edge{
+		{From: st, To: ho}, {From: st, To: br},
+		{From: ho, To: br}, {From: ho, To: se}, {From: ho, To: ex},
+		{From: br, To: ho}, {From: br, To: se}, {From: br, To: ex},
+		{From: se, To: bo}, {From: se, To: ex},
+		{From: bo, To: se}, {From: bo, To: pa}, {From: bo, To: ex},
+		{From: pa, To: ex},
+	}
+}
+
+// FitProfile calibrates the Figure 2 transition probabilities to the Table 1
+// scenario probabilities of one user class: the operational profile that
+// visit simulations walk.
+//
+//ta:deterministic
+func FitProfile(class UserClass) (opprofile.FitResult, error) {
+	scenarios, err := Scenarios(class)
+	if err != nil {
+		return opprofile.FitResult{}, err
+	}
+	targets := make([]opprofile.Scenario, 0, len(scenarios))
+	for _, sc := range scenarios {
+		targets = append(targets, opprofile.Scenario{
+			Functions:   sc.Functions,
+			Probability: sc.Probability,
+		})
+	}
+	return opprofile.Fit(Figure2Edges(), targets, optimize.Options{MaxIterations: 8000})
 }
 
 // ScenarioCategory returns the Figure 13 category of a Table 1 scenario

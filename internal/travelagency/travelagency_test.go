@@ -363,33 +363,6 @@ func TestFunctionServiceMappingTable2(t *testing.T) {
 	}
 }
 
-func TestSearchDiagramWithExceptions(t *testing.T) {
-	p := DefaultParams()
-	d, err := SearchDiagramWithExceptions(p, 0.1)
-	if err != nil {
-		t.Fatalf("SearchDiagramWithExceptions: %v", err)
-	}
-	avail := map[string]float64{
-		SvcInternet: 1, SvcLAN: 1, SvcWeb: 1, SvcApp: 1, SvcDB: 1,
-		SvcFlight: 0.5, SvcHotel: 1, SvcCar: 1,
-	}
-	got, err := d.Availability(avail)
-	if err != nil {
-		t.Fatalf("Availability: %v", err)
-	}
-	// 10% of requests end at the exception path (available), 90% need Flight.
-	want := 0.1 + 0.9*0.5
-	if relDiff(got, want) > 1e-12 {
-		t.Errorf("A = %v, want %v", got, want)
-	}
-	if _, err := SearchDiagramWithExceptions(p, 1.0); err == nil {
-		t.Error("exception probability 1 accepted")
-	}
-	if _, err := SearchDiagramWithExceptions(p, -0.1); err == nil {
-		t.Error("negative exception probability accepted")
-	}
-}
-
 // Reproduce the exact Table 8 values our faithful implementation of
 // equation (10) + Table 7 yields, pinned as regression anchors. (The paper's
 // printed Table 8 is not derivable from its printed Table 7 — see
