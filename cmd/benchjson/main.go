@@ -13,10 +13,11 @@
 // regression gate.
 //
 // The tool shells out to the local go toolchain, parses the standard
-// benchmark output lines (name, iterations, ns/op and the -benchmem
-// columns when present), and attaches the goos/goarch/cpu metadata that
-// `go test` prints, plus the benchtime used — enough context to judge
-// whether a later run on the same class of machine regressed.
+// benchmark output lines (name, iterations, ns/op, and the -benchmem
+// columns and custom metrics such as MB/s or spans/s when present), and
+// attaches the goos/goarch/cpu metadata that `go test` prints, plus the
+// benchtime used — enough context to judge whether a later run on the
+// same class of machine regressed.
 package main
 
 import (
@@ -41,6 +42,10 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds every other column by unit: b.SetBytes's MB/s and
+	// b.ReportMetric values such as spans/s. They are informational; the
+	// -compare gate reads only ns/op.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Document is the emitted JSON baseline.
@@ -201,11 +206,11 @@ func Parse(r io.Reader) (*Document, error) {
 
 // parseBenchLine parses one line of the form
 //
-//	BenchmarkName-8   123   4567 ns/op   89 B/op   10 allocs/op
+//	BenchmarkName-8   123   4567 ns/op   89 B/op   10 allocs/op   5.5 spans/s
 //
-// The memory columns are optional. Lines that start with "Benchmark" but do
-// not follow the format (e.g. a benchmark that printed its own output) are
-// skipped rather than treated as errors.
+// The memory and custom-metric columns are optional. Lines that start with
+// "Benchmark" but do not follow the format (e.g. a benchmark that printed
+// its own output) are skipped rather than treated as errors.
 func parseBenchLine(line string) (Result, bool, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {
@@ -229,15 +234,20 @@ func parseBenchLine(line string) (Result, bool, error) {
 	}
 	res := Result{Name: name, Procs: procs, Iterations: iters, NsPerOp: nsOp}
 	for i := 4; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseInt(fields[i], 10, 64)
+		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
 		}
-		switch fields[i+1] {
+		switch unit := fields[i+1]; unit {
 		case "B/op":
-			res.BytesPerOp = v
+			res.BytesPerOp = int64(v)
 		case "allocs/op":
-			res.AllocsPerOp = v
+			res.AllocsPerOp = int64(v)
+		default:
+			if res.Metrics == nil {
+				res.Metrics = make(map[string]float64)
+			}
+			res.Metrics[unit] = v
 		}
 	}
 	return res, true, nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkTable8Row-8         	     100	   2717941 ns/op	  211256 B/op	    3037 allocs/op
 BenchmarkFigure11Grid-8      	      50	    678530 ns/op	  253696 B/op	    3019 allocs/op
 BenchmarkGTHSteadyState      	    1000	    212767 ns/op
+BenchmarkTraceMine-2         	      36	  55710853 ns/op	 117.42 MB/s	    870927 spans/s	29158836 B/op	  116803 allocs/op
 BenchmarkOddOutput some benchmark chatter that is not a result line
 PASS
 ok  	repro	1.234s
@@ -29,8 +31,8 @@ func TestParse(t *testing.T) {
 	if !strings.Contains(doc.CPU, "Xeon") {
 		t.Errorf("cpu = %q", doc.CPU)
 	}
-	if len(doc.Results) != 3 {
-		t.Fatalf("got %d results, want 3: %+v", len(doc.Results), doc.Results)
+	if len(doc.Results) != 4 {
+		t.Fatalf("got %d results, want 4: %+v", len(doc.Results), doc.Results)
 	}
 	r := doc.Results[0]
 	if r.Name != "BenchmarkTable8Row" || r.Procs != 8 || r.Iterations != 100 {
@@ -39,10 +41,19 @@ func TestParse(t *testing.T) {
 	if r.NsPerOp != 2717941 || r.BytesPerOp != 211256 || r.AllocsPerOp != 3037 {
 		t.Errorf("result 0 metrics = %+v", r)
 	}
+	if r.Metrics != nil {
+		t.Errorf("result 0 custom metrics = %v, want none", r.Metrics)
+	}
 	// No -benchmem columns and no -procs suffix.
 	r = doc.Results[2]
 	if r.Name != "BenchmarkGTHSteadyState" || r.Procs != 1 || r.BytesPerOp != 0 || r.AllocsPerOp != 0 {
 		t.Errorf("result 2 = %+v", r)
+	}
+	// Custom metrics are kept by unit, beside the -benchmem columns.
+	r = doc.Results[3]
+	want := map[string]float64{"MB/s": 117.42, "spans/s": 870927}
+	if r.NsPerOp != 55710853 || r.BytesPerOp != 29158836 || r.AllocsPerOp != 116803 || !reflect.DeepEqual(r.Metrics, want) {
+		t.Errorf("result 3 = %+v, want metrics %v", r, want)
 	}
 }
 

@@ -175,7 +175,8 @@ func (e *Engine) execute(j *job) {
 	close(j.done)
 }
 
-// Submit enqueues a job and returns its snapshot. When the queue is full the
+// Submit enqueues a job and returns its snapshot, taken before any worker
+// can see the job, so it always reads JobQueued. When the queue is full the
 // job is shed with ErrBusy and no state is retained.
 func (e *Engine) Submit(kind string, request []byte, run func(context.Context) ([]byte, error)) (Job, error) {
 	e.mu.Lock()
@@ -188,18 +189,20 @@ func (e *Engine) Submit(kind string, request []byte, run func(context.Context) (
 		state:   JobQueued,
 		done:    make(chan struct{}),
 	}
+	e.jobs[j.id] = j
 	e.mu.Unlock()
+	snap := j.snapshot()
 	select {
 	case e.queue <- j:
 	default:
+		e.mu.Lock()
+		delete(e.jobs, j.id)
+		e.mu.Unlock()
 		e.shed.Add(1)
 		return Job{}, fmt.Errorf("%w: %d jobs queued", ErrBusy, cap(e.queue))
 	}
-	e.mu.Lock()
-	e.jobs[j.id] = j
-	e.mu.Unlock()
 	e.submitted.Add(1)
-	return j.snapshot(), nil
+	return snap, nil
 }
 
 // Get returns the snapshot of a job by id.

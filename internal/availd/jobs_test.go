@@ -152,12 +152,18 @@ func TestEngineShedsWhenFull(t *testing.T) {
 	if _, err := e.Submit("b2", nil, blocker); err != nil {
 		t.Fatal(err)
 	}
-	// Queue full: shed.
+	// Queue full: shed, and neither listed nor counted as submitted.
 	if _, err := e.Submit("b3", nil, blocker); !errors.Is(err, ErrBusy) {
 		t.Fatalf("full queue Submit: %v, want ErrBusy", err)
 	}
-	if got := e.Stats().Shed; got != 1 {
-		t.Fatalf("Shed = %d, want 1", got)
+	if st := e.Stats(); st.Shed != 1 || st.Submitted != 2 || st.Queued != 1 {
+		t.Fatalf("Stats = %+v, want 1 shed / 2 submitted / 1 queued", st)
+	}
+	if list := e.List(); len(list) != 2 || list[0].Kind != "b1" || list[1].Kind != "b2" {
+		t.Fatalf("List = %+v, want b1 and b2 only", list)
+	}
+	if _, err := e.Get("job-3"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get shed job: %v, want ErrNotFound", err)
 	}
 	close(release)
 }

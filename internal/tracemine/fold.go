@@ -1,7 +1,8 @@
 package tracemine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -56,12 +57,17 @@ type FoldStats struct {
 // Fold reconstructs visit trees from flat span traces. Children attach to
 // parents strictly one level down (visit→function→step→resource), ordered by
 // span ID, which matches emission order; spans violating the hierarchy are
-// counted as orphans and skipped.
+// counted as orphans and skipped. When a trace repeats a span ID (ReadSpans
+// and GroupSpans never let one through), a child attaches only to the first
+// span with its parent's ID.
 func Fold(traces []obs.Trace) ([]Visit, FoldStats) {
-	var stats FoldStats
+	var (
+		stats FoldStats
+		f     folder
+	)
 	visits := make([]Visit, 0, len(traces))
 	for _, tr := range traces {
-		v, orphans, ok := foldTrace(tr)
+		v, orphans, ok := f.fold(tr)
 		stats.Orphans += orphans
 		if !ok {
 			stats.NoRoot++
@@ -73,16 +79,29 @@ func Fold(traces []obs.Trace) ([]Visit, FoldStats) {
 	return visits, stats
 }
 
-func foldTrace(tr obs.Trace) (Visit, int64, bool) {
-	spans := append([]obs.Span(nil), tr.Spans...)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
-	rootIdx := -1
-	for i, sp := range spans {
-		if sp.Level == obs.LevelVisit && sp.Parent == 0 {
-			rootIdx = i
-			break
-		}
+// folder holds the buffers Fold reuses from one trace to the next.
+type folder struct {
+	sorted []obs.Span
+	// owner records, per position in the ID-sorted spans, where an attached
+	// function or step span went: its function index, and for a step its
+	// step index; -1 when the span did not attach there.
+	owner []spanOwner
+}
+
+type spanOwner struct{ fn, step int }
+
+func byID(a, b obs.Span) int { return cmp.Compare(a.ID, b.ID) }
+
+func (f *folder) fold(tr obs.Trace) (Visit, int64, bool) {
+	spans := tr.Spans
+	if !slices.IsSortedFunc(spans, byID) {
+		f.sorted = append(f.sorted[:0], spans...)
+		spans = f.sorted
+		slices.SortFunc(spans, byID)
 	}
+	rootIdx := slices.IndexFunc(spans, func(sp obs.Span) bool {
+		return sp.Level == obs.LevelVisit && sp.Parent == 0
+	})
 	if rootIdx < 0 {
 		return Visit{}, int64(len(spans)), false
 	}
@@ -100,9 +119,23 @@ func foldTrace(tr obs.Trace) (Visit, int64, bool) {
 		v.Scenario = root.Name
 	}
 
+	owner := slices.Grow(f.owner[:0], len(spans))[:len(spans)]
+	f.owner = owner
+	for i := range owner {
+		owner[i] = spanOwner{-1, -1}
+	}
+	// parent returns the owner of the span with ID id if it precedes
+	// position i and has the given level, else nil.
+	parent := func(i, id int, level obs.Level) *spanOwner {
+		j, ok := slices.BinarySearchFunc(spans[:i], id, func(sp obs.Span, id int) int {
+			return cmp.Compare(sp.ID, id)
+		})
+		if !ok || spans[j].Level != level {
+			return nil
+		}
+		return &owner[j]
+	}
 	var orphans int64
-	fnBySpan := make(map[int]int)     // function span ID → index in v.Functions
-	stepOwner := make(map[int][2]int) // step span ID → (function index, step index)
 	for i, sp := range spans {
 		if i == rootIdx {
 			continue
@@ -113,32 +146,32 @@ func foldTrace(tr obs.Trace) (Visit, int64, bool) {
 				orphans++
 				continue
 			}
-			fnBySpan[sp.ID] = len(v.Functions)
+			owner[i].fn = len(v.Functions)
 			v.Functions = append(v.Functions, VisitFunction{
 				Name:  sp.Name,
 				OK:    sp.OK,
 				Cause: sp.Cause,
 			})
 		case obs.LevelStep:
-			fi, ok := fnBySpan[sp.Parent]
-			if !ok {
+			o := parent(i, sp.Parent, obs.LevelFunction)
+			if o == nil || o.fn < 0 {
 				orphans++
 				continue
 			}
-			fn := &v.Functions[fi]
-			stepOwner[sp.ID] = [2]int{fi, len(fn.Steps)}
+			fn := &v.Functions[o.fn]
+			owner[i] = spanOwner{o.fn, len(fn.Steps)}
 			fn.Steps = append(fn.Steps, VisitStep{
 				Name:  sp.Name,
 				OK:    sp.OK,
 				Cause: sp.Cause,
 			})
 		case obs.LevelResource:
-			owner, ok := stepOwner[sp.Parent]
-			if !ok {
+			o := parent(i, sp.Parent, obs.LevelStep)
+			if o == nil || o.step < 0 {
 				orphans++
 				continue
 			}
-			st := &v.Functions[owner[0]].Steps[owner[1]]
+			st := &v.Functions[o.fn].Steps[o.step]
 			st.Resources = append(st.Resources, VisitResource{
 				Service: sp.Name,
 				OK:      sp.OK,

@@ -1,8 +1,12 @@
 package tracemine
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,6 +61,61 @@ func TestReadSpansTolerant(t *testing.T) {
 	}
 	if len(traces[0].Spans) != 2 {
 		t.Errorf("trace 1 kept %d spans, want 2", len(traces[0].Spans))
+	}
+}
+
+// TestReadSpansFastPath: every line of a real testbed stream (steps kept,
+// both classes) takes the reflection-free path, and the result is the one
+// encoding/json gives line by line.
+func TestReadSpansFastPath(t *testing.T) {
+	traces := runTestbed(t, 300, 3)
+	tracer := obs.NewTracer(len(traces))
+	for _, tr := range traces {
+		tracer.Record(tr)
+	}
+	var buf bytes.Buffer
+	if err := tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := readSpans(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.fallbacks != 0 {
+		t.Errorf("%d of %d lines fell back to encoding/json", g.fallbacks, g.stats.Lines)
+	}
+
+	var spans []obs.Span
+	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
+	for sc.Scan() {
+		var sp obs.Span
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+			t.Fatal(err)
+		}
+		spans = append(spans, sp)
+	}
+	want, wantStats := GroupSpans(spans)
+	wantStats.Lines = int64(len(spans))
+	if g.stats != wantStats {
+		t.Errorf("stats = %+v, want %+v", g.stats, wantStats)
+	}
+	if !reflect.DeepEqual(g.out, want) {
+		t.Error("fast-path traces differ from encoding/json's")
+	}
+}
+
+// TestReadSpansLineCap: a line over maxLineBytes is counted malformed and
+// skipped without ending the scan, even when it holds a valid span.
+func TestReadSpansLineCap(t *testing.T) {
+	input := spanLine(1, 1, 0, obs.LevelVisit, "v", true) + "\n" +
+		spanLine(3, 1, 0, obs.LevelVisit, strings.Repeat("x", 2<<20), true) + "\n" +
+		spanLine(2, 1, 0, obs.LevelVisit, "v", true) + "\n"
+	_, rs, err := ReadSpans(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Lines != 3 || rs.Spans != 2 || rs.Malformed != 1 {
+		t.Errorf("stats = %+v, want 3 lines / 2 spans / 1 malformed", rs)
 	}
 }
 
@@ -148,5 +207,27 @@ func TestFoldScenarioFallback(t *testing.T) {
 	}
 	if visits[0].Class != "" {
 		t.Errorf("class = %q, want empty", visits[0].Class)
+	}
+}
+
+// TestFoldSparseIDs: parents are found by ID, not position, so huge,
+// sparse and shuffled IDs fold like dense ones, and a child whose parent
+// ID names a span of the wrong level is an orphan.
+func TestFoldSparseIDs(t *testing.T) {
+	const big = 1 << 62
+	visits, fs := Fold([]obs.Trace{{Spans: []obs.Span{
+		{Trace: 1, ID: big + 9, Parent: big, Level: obs.LevelResource, Name: "DS", OK: true},
+		{Trace: 1, ID: 7, Parent: 0, Level: obs.LevelVisit, Name: "v", OK: true},
+		{Trace: 1, ID: big, Parent: 1000, Level: obs.LevelStep, Name: "query", OK: true},
+		{Trace: 1, ID: 1000, Parent: 7, Level: obs.LevelFunction, Name: "Search", OK: true},
+		{Trace: 1, ID: big + 10, Parent: 1000, Level: obs.LevelResource, Name: "AS", OK: true}, // parent is a function
+	}}})
+	if fs.Visits != 1 || fs.Orphans != 1 {
+		t.Fatalf("fold stats = %+v, want 1 visit / 1 orphan", fs)
+	}
+	fns := visits[0].Functions
+	if len(fns) != 1 || len(fns[0].Steps) != 1 || len(fns[0].Steps[0].Resources) != 1 ||
+		fns[0].Steps[0].Resources[0].Service != "DS" {
+		t.Errorf("functions = %+v", fns)
 	}
 }
