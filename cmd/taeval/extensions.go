@@ -566,7 +566,7 @@ func runLatencyUser(w io.Writer, csv bool) error {
 // then reports the calibrated table. This quantifies how far the printed
 // Table 7 is from whatever produced the printed Table 8 (see EXPERIMENTS.md).
 func runTable8Calibrated(w io.Writer, csv bool) error {
-	ns := []int{1, 2, 3, 4, 5, 10}
+	ns := travelagency.Table8Rows()
 	logistic := func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 	evalTable := func(disk, ps float64) (map[int][2]float64, error) {
 		out := make(map[int][2]float64, len(ns))

@@ -152,31 +152,16 @@ func runFigures9to10(w io.Writer, csv bool) error {
 // results come back in cell order, so the rendered figure is byte-identical
 // to the old serial nested loops.
 func webServiceCurves(coverage float64) (map[float64][]report.Series, *webfarm.Composer, error) {
-	lambdas := []float64{1e-2, 1e-3, 1e-4}
-	alphas := []float64{50, 100, 150}
-	ns := make([]float64, 10)
-	for i := range ns {
-		ns[i] = float64(i + 1)
-	}
-	base := travelagency.DefaultParams()
-	cells := make([]webfarm.Farm, 0, len(lambdas)*len(alphas)*len(ns))
-	for _, lambda := range lambdas {
-		for _, alpha := range alphas {
-			for n := 1; n <= len(ns); n++ {
-				farm := travelagency.WebFarm(base)
-				farm.Servers = n
-				farm.ArrivalRate = alpha
-				farm.FailureRate = lambda
-				farm.Coverage = coverage
-				cells = append(cells, farm)
-			}
-		}
+	lambdas, alphas, servers := travelagency.FigureGrid()
+	ns := make([]float64, len(servers))
+	for i, n := range servers {
+		ns[i] = float64(n)
 	}
 	// The batch flows through the composer's allocation-free direct path;
 	// sweep.Run (rather than UnavailabilityBatch) keeps the -metrics pool
 	// stats attached. Values are bit-identical either way.
 	composer := webfarm.NewComposer()
-	unavail, err := sweep.Run(cells, composer.Unavailability, sweepOptions())
+	unavail, err := sweep.Run(travelagency.FigureFarms(coverage), composer.Unavailability, sweepOptions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -206,7 +191,8 @@ func renderWebServiceFigure(w io.Writer, title string, coverage float64) error {
 	if err != nil {
 		return err
 	}
-	for _, lambda := range []float64{1e-2, 1e-3, 1e-4} {
+	lambdas, _, _ := travelagency.FigureGrid()
+	for _, lambda := range lambdas {
 		err := report.RenderSeries(w,
 			fmt.Sprintf("%s, λ=%g/h (ν=100/s, µ=1/h, K=10)", title, lambda),
 			"N_W", curves[lambda])

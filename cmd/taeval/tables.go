@@ -258,18 +258,7 @@ var paperTable8 = map[int][2]float64{
 func runTable8(w io.Writer, csv bool) error {
 	tbl := report.NewTable("Table 8 — user availability vs N_F = N_H = N_C",
 		"N", "A(class A)", "paper A", "A(class B)", "paper B")
-	rows := []int{1, 2, 3, 4, 5, 10}
-	ps := make([]travelagency.Params, len(rows))
-	for i, n := range rows {
-		p := travelagency.DefaultParams()
-		p.FlightSystems, p.HotelSystems, p.CarSystems = n, n, n
-		ps[i] = p
-	}
-	repsA, err := travelagency.EvaluateMany(ps, travelagency.ClassA, workerCount)
-	if err != nil {
-		return err
-	}
-	repsB, err := travelagency.EvaluateMany(ps, travelagency.ClassB, workerCount)
+	rows, repsA, repsB, err := travelagency.Table8(workerCount)
 	if err != nil {
 		return err
 	}

@@ -79,18 +79,12 @@ func run() error {
 	}
 
 	fmt.Println("\n== Sensitivity: number of reservation systems (Table 8) ==")
-	for _, n := range []int{1, 2, 3, 4, 5, 10} {
-		p := params
-		p.FlightSystems, p.HotelSystems, p.CarSystems = n, n, n
-		ra, err := travelagency.Evaluate(p, travelagency.ClassA)
-		if err != nil {
-			return err
-		}
-		rb, err := travelagency.Evaluate(p, travelagency.ClassB)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  N=%2d  class A %.5f   class B %.5f\n", n, ra.UserAvailability, rb.UserAvailability)
+	rows, repsA, repsB, err := travelagency.Table8(1)
+	if err != nil {
+		return err
+	}
+	for i, n := range rows {
+		fmt.Printf("  N=%2d  class A %.5f   class B %.5f\n", n, repsA[i].UserAvailability, repsB[i].UserAvailability)
 	}
 
 	fmt.Println("\n== Business impact (Figure 13 economics) ==")

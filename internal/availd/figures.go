@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/travelagency"
-	"repro/internal/webfarm"
 )
 
 // FigureResponse is the Figure 11/12 web-service unavailability grid: the
@@ -37,27 +36,8 @@ func (e *Evaluator) Figure(n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: figure %d (have 11, 12)", ErrNotFound, n)
 	}
 	return e.cached(fmt.Sprintf("figure:%d", n), func() ([]byte, error) {
-		lambdas := []float64{1e-2, 1e-3, 1e-4}
-		alphas := []float64{50, 100, 150}
-		servers := make([]int, 10)
-		for i := range servers {
-			servers[i] = i + 1
-		}
-		base := travelagency.DefaultParams()
-		farms := make([]webfarm.Farm, 0, len(lambdas)*len(alphas)*len(servers))
-		for _, lambda := range lambdas {
-			for _, alpha := range alphas {
-				for _, nw := range servers {
-					farm := travelagency.WebFarm(base)
-					farm.Servers = nw
-					farm.ArrivalRate = alpha
-					farm.FailureRate = lambda
-					farm.Coverage = coverage
-					farms = append(farms, farm)
-				}
-			}
-		}
-		unavail, err := e.composer.UnavailabilityBatch(farms, e.workers)
+		lambdas, alphas, servers := travelagency.FigureGrid()
+		unavail, err := e.composer.UnavailabilityBatch(travelagency.FigureFarms(coverage), e.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -99,18 +79,7 @@ type Table8Response struct {
 // pool; the rendered body is memoized across requests.
 func (e *Evaluator) Table8() ([]byte, error) {
 	return e.cached("table:8", func() ([]byte, error) {
-		ns := []int{1, 2, 3, 4, 5, 10}
-		ps := make([]travelagency.Params, len(ns))
-		for i, n := range ns {
-			p := travelagency.DefaultParams()
-			p.FlightSystems, p.HotelSystems, p.CarSystems = n, n, n
-			ps[i] = p
-		}
-		repsA, err := travelagency.EvaluateMany(ps, travelagency.ClassA, e.workers)
-		if err != nil {
-			return nil, err
-		}
-		repsB, err := travelagency.EvaluateMany(ps, travelagency.ClassB, e.workers)
+		ns, repsA, repsB, err := travelagency.Table8(e.workers)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,25 @@ func TestEvaluateEndpoint(t *testing.T) {
 	code, _ = request(t, ts, http.MethodPost, "/api/v1/evaluate", []byte(`{}`))
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("neither scenario nor spec = %d", code)
+	}
+}
+
+// An inline spec whose diagram expands beyond the path-class state budget
+// (eight services, every step reaching every other) is refused with 422
+// before its chain is solved.
+func TestEvaluateRejectsOversizedExpansion(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec, err := os.ReadFile("testdata/all_to_all_8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	code, body := request(t, ts, http.MethodPost, "/api/v1/evaluate", []byte(fmt.Sprintf(`{"spec":%s}`, spec)))
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "state budget") {
+		t.Fatalf("oversized expansion = %d %s, want 422 naming the state budget", code, body)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("oversized expansion refused after %v", elapsed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -110,22 +111,37 @@ func resize(dst []float64, n int) []float64 {
 // validation is deferred to Analyze (mirroring AnalyzeAbsorbing's per-call
 // Validate), so probabilities can be refreshed between analyses.
 func (c *Chain) Compile() (*Compiled, error) {
+	rows := make([][]Arc, len(c.prob))
+	for i, row := range c.prob {
+		for j, p := range row {
+			rows[i] = append(rows[i], Arc{To: j, P: p})
+		}
+		sort.Slice(rows[i], func(a, b int) bool { return rows[i][a].To < rows[i][b].To })
+	}
+	return compile(c.names, rows)
+}
+
+// compile freezes a chain given as rows of successor arcs (an empty row is
+// absorbing). With names nil the chain is anonymous: it can be analyzed but
+// not addressed or refreshed by state name.
+func compile(names []string, rows [][]Arc) (*Compiled, error) {
 	kernelCounters.compiles.Add(1)
-	n := len(c.names)
+	n := len(rows)
 	if n == 0 {
 		return nil, errors.New("dtmc: chain has no states")
 	}
 	cc := &Compiled{
-		names: append([]string(nil), c.names...),
-		index: make(map[string]int, n),
+		names: append([]string(nil), names...),
+		index: make(map[string]int, len(names)),
 		posT:  make(map[int]int),
 		posA:  make(map[int]int),
+		edges: make(map[[2]int]edgeRef),
 	}
 	for i, name := range cc.names {
 		cc.index[name] = i
 	}
-	for i := 0; i < n; i++ {
-		if len(c.prob[i]) == 0 {
+	for i, row := range rows {
+		if len(row) == 0 {
 			cc.posA[i] = len(cc.absorbing)
 			cc.absorbing = append(cc.absorbing, i)
 		} else {
@@ -139,20 +155,18 @@ func (c *Chain) Compile() (*Compiled, error) {
 	t := len(cc.transient)
 	cc.qRowPtr = make([]int, t+1)
 	cc.rRowPtr = make([]int, t+1)
-	cc.edges = make(map[[2]int]edgeRef)
 	for r, i := range cc.transient {
 		cc.qRowPtr[r] = len(cc.qCol)
 		cc.rRowPtr[r] = len(cc.rCol)
-		for _, j := range c.successors(i) {
-			p := c.prob[i][j]
-			if col, ok := cc.posT[j]; ok {
-				cc.edges[[2]int{i, j}] = edgeRef{inQ: true, idx: len(cc.qCol)}
+		for _, a := range rows[i] {
+			if col, ok := cc.posT[a.To]; ok {
+				cc.edges[[2]int{i, a.To}] = edgeRef{inQ: true, idx: len(cc.qCol)}
 				cc.qCol = append(cc.qCol, col)
-				cc.qVal = append(cc.qVal, p)
+				cc.qVal = append(cc.qVal, a.P)
 			} else {
-				cc.edges[[2]int{i, j}] = edgeRef{inQ: false, idx: len(cc.rCol)}
-				cc.rCol = append(cc.rCol, cc.posA[j])
-				cc.rVal = append(cc.rVal, p)
+				cc.edges[[2]int{i, a.To}] = edgeRef{inQ: false, idx: len(cc.rCol)}
+				cc.rCol = append(cc.rCol, cc.posA[a.To])
+				cc.rVal = append(cc.rVal, a.P)
 			}
 		}
 	}
@@ -162,23 +176,13 @@ func (c *Chain) Compile() (*Compiled, error) {
 	return cc, nil
 }
 
-// NumStates returns the number of states.
-func (cc *Compiled) NumStates() int { return len(cc.names) }
-
-// StateNames returns the state names in declaration order (a copy).
-func (cc *Compiled) StateNames() []string {
-	out := make([]string, len(cc.names))
-	copy(out, cc.names)
-	return out
-}
-
-// StateIndex returns the index of the named state.
-func (cc *Compiled) StateIndex(name string) (int, error) {
-	i, ok := cc.index[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownState, name)
+// stateName names state i in diagnostics; an anonymous chain's states are
+// numbered.
+func (cc *Compiled) stateName(i int) string {
+	if i < len(cc.names) {
+		return cc.names[i]
 	}
-	return i, nil
+	return fmt.Sprintf("#%d", i)
 }
 
 // SetProbability replaces the probability of an existing transition. The
@@ -250,7 +254,7 @@ func (cc *Compiled) AnalyzeInto(prev *CompiledAnalysis) (*CompiledAnalysis, erro
 			s += cc.rVal[idx]
 		}
 		if math.Abs(s-1) > probTolerance {
-			return nil, fmt.Errorf("%w: state %q sums to %v", ErrNotStochastic, cc.names[cc.transient[r]], s)
+			return nil, fmt.Errorf("%w: state %q sums to %v", ErrNotStochastic, cc.stateName(cc.transient[r]), s)
 		}
 	}
 	an := prev
@@ -315,7 +319,7 @@ func (cc *Compiled) AnalyzeInto(prev *CompiledAnalysis) (*CompiledAnalysis, erro
 	for r := 0; r < t; r++ {
 		for cIdx := 0; cIdx < t; cIdx++ {
 			if fund[r*t+cIdx] < -1e-9 {
-				return nil, fmt.Errorf("dtmc: fundamental matrix has negative entry %v; transient class %q cannot reach absorption", fund[r*t+cIdx], cc.names[cc.transient[r]])
+				return nil, fmt.Errorf("dtmc: fundamental matrix has negative entry %v; transient class %q cannot reach absorption", fund[r*t+cIdx], cc.stateName(cc.transient[r]))
 			}
 		}
 	}
@@ -359,7 +363,7 @@ func (cc *Compiled) AnalyzeInto(prev *CompiledAnalysis) (*CompiledAnalysis, erro
 func (a *CompiledAnalysis) TransientStates() []string {
 	out := make([]string, len(a.cc.transient))
 	for k, i := range a.cc.transient {
-		out[k] = a.cc.names[i]
+		out[k] = a.cc.stateName(i)
 	}
 	return out
 }
@@ -368,7 +372,7 @@ func (a *CompiledAnalysis) TransientStates() []string {
 func (a *CompiledAnalysis) AbsorbingStates() []string {
 	out := make([]string, len(a.cc.absorbing))
 	for k, i := range a.cc.absorbing {
-		out[k] = a.cc.names[i]
+		out[k] = a.cc.stateName(i)
 	}
 	return out
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/linalg"
 )
@@ -69,16 +68,6 @@ func (c *Chain) AddTransition(from, to string, p float64) error {
 		return fmt.Errorf("dtmc: accumulated probability %q -> %q exceeds 1", from, to)
 	}
 	return nil
-}
-
-// NumStates returns the number of declared states.
-func (c *Chain) NumStates() int { return len(c.names) }
-
-// StateNames returns the state names in declaration order (a copy).
-func (c *Chain) StateNames() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	return out
 }
 
 // StateIndex returns the index of the named state.
@@ -143,16 +132,6 @@ func (c *Chain) TransitionMatrix() (*linalg.Matrix, error) {
 		}
 	}
 	return p, nil
-}
-
-// successors returns the sorted successor indices of state i.
-func (c *Chain) successors(i int) []int {
-	out := make([]int, 0, len(c.prob[i]))
-	for j := range c.prob[i] {
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // StepDistribution returns the state distribution after exactly n steps,

@@ -33,7 +33,8 @@ const (
 	End   = "End"
 )
 
-// maxServices bounds the service-set expansion.
+// maxServices bounds the service marks of the path-class expansion, whose
+// reachable states are further capped by dtmc.MaxPathStates.
 const maxServices = 16
 
 // ErrDiagram is returned for structurally invalid diagrams.
@@ -206,7 +207,7 @@ func (s Scenario) Key() string { return strings.Join(s.Services, "+") }
 // the operational profile). Results are sorted by descending probability.
 //
 // The analysis is cached on the diagram until the next structural mutation,
-// so repeated availability queries pay for the absorbing-chain solve once.
+// so repeated availability queries pay for the path-class solve once.
 // The returned slice is shared with the cache and must not be mutated.
 func (d *Diagram) Scenarios() ([]Scenario, error) {
 	d.mu.Lock()
@@ -222,83 +223,41 @@ func (d *Diagram) Scenarios() ([]Scenario, error) {
 	return scs, nil
 }
 
-// computeScenarios runs the absorbing-chain scenario analysis through the
-// compiled dtmc kernel (bit-identical to the generic AnalyzeAbsorbing path).
+// Graph returns the diagram as a path graph: Begin, the steps in declaration
+// order, then End. A step marks the bits of its services (the i-th declared
+// service is bit i), and every node's successors are listed in name order.
+func (d *Diagram) Graph() dtmc.PathGraph {
+	names := append(append([]string{Begin}, d.nodeOrder...), End)
+	marks := make([]uint64, len(names))
+	for i, name := range names {
+		for _, svc := range d.steps[name] {
+			marks[i] |= 1 << d.svcIndex[svc]
+		}
+	}
+	return dtmc.NewPathGraph(names, marks, d.trans)
+}
+
+// computeScenarios groups the path classes of the diagram graph
+// (dtmc.PathGraph.PathClasses) by the services they touch.
 func (d *Diagram) computeScenarios() ([]Scenario, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	type state struct {
-		node string
-		mask int
-	}
-	name := func(s state) string { return fmt.Sprintf("%s|%d", s.node, s.mask) }
-	maskOf := func(node string, prev int) int {
-		m := prev
-		for _, svc := range d.steps[node] {
-			m |= 1 << d.svcIndex[svc]
-		}
-		return m
-	}
-
-	chain := dtmc.New()
-	startState := state{node: Begin}
-	seen := map[state]bool{startState: true}
-	queue := []state{startState}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.node == End {
-			continue
-		}
-		for to, q := range d.trans[cur.node] {
-			next := state{node: to, mask: maskOf(to, cur.mask)}
-			if err := chain.AddTransition(name(cur), name(next), q); err != nil {
-				return nil, err
-			}
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
-	}
-	cc, err := chain.Compile()
+	g := d.Graph()
+	classes, err := g.PathClasses()
 	if err != nil {
-		return nil, fmt.Errorf("interaction: scenario analysis of %q: %w", d.name, err)
+		return nil, fmt.Errorf("%w: scenario analysis of %q: %w", ErrDiagram, d.name, err)
 	}
-	analysis, err := cc.Analyze()
-	if err != nil {
-		return nil, fmt.Errorf("interaction: scenario analysis of %q: %w", d.name, err)
-	}
-	absorbed, err := analysis.AbsorptionProbabilities(name(startState))
-	if err != nil {
-		return nil, fmt.Errorf("interaction: scenario analysis of %q: %w", d.name, err)
-	}
-
-	byMask := make(map[int]float64)
-	for stateName, pr := range absorbed {
-		if pr <= 0 {
-			continue
-		}
-		if !strings.HasPrefix(stateName, End+"|") {
-			return nil, fmt.Errorf("%w: path trapped in %q", ErrDiagram, stateName)
-		}
-		var mask int
-		if _, err := fmt.Sscanf(stateName[len(End)+1:], "%d", &mask); err != nil {
-			return nil, fmt.Errorf("interaction: parse mask of %q: %w", stateName, err)
-		}
-		byMask[mask] += pr
-	}
-	out := make([]Scenario, 0, len(byMask))
-	for mask, pr := range byMask {
+	out := make([]Scenario, 0, len(classes))
+	for _, c := range classes {
 		var svcs []string
 		for i, svc := range d.services {
-			if mask&(1<<i) != 0 {
+			if c.Marks&(1<<i) != 0 {
 				svcs = append(svcs, svc)
 			}
 		}
 		sort.Strings(svcs)
-		out = append(out, Scenario{Services: svcs, Probability: pr})
+		out = append(out, Scenario{Services: svcs, Probability: c.Probability})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Probability != out[j].Probability {

@@ -197,15 +197,9 @@ func (s *Spec) build(fixedAtOne bool) (*hierarchy.Model, error) {
 		}
 	}
 	if s.Profile != nil {
-		profile := opprofile.New()
-		for _, tr := range s.Profile.Transitions {
-			p := tr.Probability
-			if p == 0 {
-				p = 1
-			}
-			if err := profile.AddTransition(tr.From, tr.To, p); err != nil {
-				return nil, fmt.Errorf("modelspec: profile: %w", err)
-			}
+		profile, err := s.Profile.Profile()
+		if err != nil {
+			return nil, err
 		}
 		if err := m.SetProfile(profile); err != nil {
 			return nil, err
@@ -246,6 +240,23 @@ func (fn FunctionSpec) Diagram() (*interaction.Diagram, error) {
 		}
 	}
 	return d, nil
+}
+
+// Profile builds the operational profile, reading a transition probability
+// of 0 as the default 1. The profile is not validated; analyzing it does
+// that.
+func (ps ProfileSpec) Profile() (*opprofile.Profile, error) {
+	profile := opprofile.New()
+	for _, tr := range ps.Transitions {
+		p := tr.Probability
+		if p == 0 {
+			p = 1
+		}
+		if err := profile.AddTransition(tr.From, tr.To, p); err != nil {
+			return nil, fmt.Errorf("modelspec: profile: %w", err)
+		}
+	}
+	return profile, nil
 }
 
 // Evaluate parses, builds and evaluates a spec document in one call.

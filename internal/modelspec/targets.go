@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/interaction"
-	"repro/internal/opprofile"
 )
 
 // This file exposes the spec as a *diff target*: flattened views of the
@@ -26,15 +25,9 @@ func (s *Spec) UserScenarios() ([]ScenarioSpec, error) {
 	if s.Profile == nil {
 		return nil, fmt.Errorf("%w: no user level", ErrSpec)
 	}
-	profile := opprofile.New()
-	for _, tr := range s.Profile.Transitions {
-		p := tr.Probability
-		if p == 0 {
-			p = 1
-		}
-		if err := profile.AddTransition(tr.From, tr.To, p); err != nil {
-			return nil, fmt.Errorf("modelspec: profile: %w", err)
-		}
+	profile, err := s.Profile.Profile()
+	if err != nil {
+		return nil, err
 	}
 	scenarios, err := profile.Scenarios()
 	if err != nil {

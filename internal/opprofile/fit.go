@@ -57,6 +57,13 @@ func Fit(edges []Edge, targets []Scenario, opts optimize.Options) (FitResult, er
 	for _, t := range targets {
 		targetByKey[ScenarioKey(t.Functions)] = t.Probability
 	}
+	// The squared errors are summed in key order, so the objective, and
+	// with it the fit, is the same on every call.
+	keys := make([]string, 0, len(targetByKey))
+	for key := range targetByKey {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 
 	build := func(weights []float64) (*Profile, error) {
 		p := New()
@@ -95,21 +102,18 @@ func Fit(edges []Edge, targets []Scenario, opts optimize.Options) (FitResult, er
 		if err != nil {
 			return math.Inf(1)
 		}
+		var sse float64
 		got := make(map[string]float64, len(scenarios))
 		for _, sc := range scenarios {
-			got[sc.Key()] = sc.Probability
-		}
-		var sse float64
-		seen := make(map[string]bool, len(targetByKey))
-		for key, want := range targetByKey {
-			d := got[key] - want
-			sse += d * d
-			seen[key] = true
-		}
-		for key, pr := range got {
-			if !seen[key] {
-				sse += pr * pr // scenario classes the targets say are impossible
+			key := sc.Key()
+			got[key] = sc.Probability
+			if _, ok := targetByKey[key]; !ok {
+				sse += sc.Probability * sc.Probability // scenario classes the targets say are impossible
 			}
+		}
+		for _, key := range keys {
+			d := got[key] - targetByKey[key]
+			sse += d * d
 		}
 		return sse
 	}

@@ -7,8 +7,8 @@
 // by the set of functions each path invokes, collapsing cycles such as
 // {Home-Browse}* and {Search-Book}*. A scenario's probability is the
 // probability that a visit invokes exactly that set of functions, and is
-// computed here exactly by absorbing-chain analysis on a state space expanded
-// with a visited-functions bitmask.
+// computed here exactly as a path class of the profile graph
+// (dtmc.PathGraph.PathClasses).
 //
 // The package also supports the inverse problem: the paper's Table 1 was
 // derived from measured transition probabilities that are not printed, so
@@ -32,8 +32,8 @@ const (
 	Exit  = "Exit"
 )
 
-// maxFunctions bounds the bitmask expansion. Reachable states are explored
-// lazily, so the practical limit is generous for realistic profiles.
+// maxFunctions bounds the function marks of the path-class expansion, whose
+// reachable states are further capped by dtmc.MaxPathStates.
 const maxFunctions = 16
 
 // ErrProfile is returned for structurally invalid profiles.
@@ -103,16 +103,6 @@ func (p *Profile) TransitionProbability(from, to string) float64 {
 	return p.transitions[from][to]
 }
 
-// Successors returns the outgoing transitions of a node as a copy.
-func (p *Profile) Successors(from string) map[string]float64 {
-	row := p.transitions[from]
-	out := make(map[string]float64, len(row))
-	for to, pr := range row {
-		out[to] = pr
-	}
-	return out
-}
-
 // Validate checks structural sanity: Start exists with outgoing
 // probabilities summing to one, the same for every function node, and the
 // function count is within the expansion limit.
@@ -165,81 +155,43 @@ func (s Scenario) Invokes(fn string) bool {
 	return false
 }
 
+// Graph returns the profile as a path graph: Start, the functions in name
+// order, then Exit. The i-th function in name order marks bit i, and every
+// node's successors are listed in name order.
+func (p *Profile) Graph() dtmc.PathGraph {
+	names := append([]string{Start}, p.functions...)
+	sort.Strings(names[1:])
+	names = append(names, Exit)
+	marks := make([]uint64, len(names))
+	for i := 1; i < len(names)-1; i++ {
+		marks[i] = 1 << (i - 1)
+	}
+	return dtmc.NewPathGraph(names, marks, p.transitions)
+}
+
 // Scenarios computes the probability of every scenario class with nonzero
-// probability, sorted by descending probability (ties broken by key).
-//
-// Implementation: the profile graph is expanded into an absorbing DTMC over
-// states (node, visited-set); the scenario probabilities are the absorption
-// probabilities into the Exit copies, grouped by visited-set. Only reachable
-// expanded states are generated.
+// probability, sorted by descending probability (ties broken by key): the
+// path classes of the profile graph (dtmc.PathGraph.PathClasses), grouped by
+// the set of functions each path invokes.
 func (p *Profile) Scenarios() ([]Scenario, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	type state struct {
-		node string
-		mask int
-	}
-	name := func(s state) string { return fmt.Sprintf("%s|%d", s.node, s.mask) }
-
-	chain := dtmc.New()
-	startState := state{node: Start}
-	seen := map[state]bool{startState: true}
-	queue := []state{startState}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.node == Exit {
-			continue // absorbing
-		}
-		for to, pr := range p.transitions[cur.node] {
-			next := state{node: to, mask: cur.mask}
-			if idx, ok := p.funcIndex[to]; ok {
-				next.mask |= 1 << idx
-			}
-			if err := chain.AddTransition(name(cur), name(next), pr); err != nil {
-				return nil, err
-			}
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
-	}
-	analysis, err := chain.AnalyzeAbsorbing()
+	g := p.Graph()
+	classes, err := g.PathClasses()
 	if err != nil {
-		return nil, fmt.Errorf("opprofile: scenario analysis: %w", err)
+		return nil, fmt.Errorf("%w: scenario analysis: %w", ErrProfile, err)
 	}
-	absorbed, err := analysis.AbsorptionProbabilities(name(startState))
-	if err != nil {
-		return nil, fmt.Errorf("opprofile: scenario analysis: %w", err)
-	}
-
-	byMask := make(map[int]float64)
-	for stateName, pr := range absorbed {
-		if pr <= 0 {
-			continue
-		}
-		if !strings.HasPrefix(stateName, Exit+"|") {
-			return nil, fmt.Errorf("opprofile: absorbed in non-Exit state %q; profile has a trap", stateName)
-		}
-		var mask int
-		if _, err := fmt.Sscanf(stateName[len(Exit)+1:], "%d", &mask); err != nil {
-			return nil, fmt.Errorf("opprofile: parse mask of %q: %w", stateName, err)
-		}
-		byMask[mask] += pr
-	}
-
-	out := make([]Scenario, 0, len(byMask))
-	for mask, pr := range byMask {
+	functions := g.Names[1:g.End]
+	out := make([]Scenario, 0, len(classes))
+	for _, c := range classes {
 		var fns []string
-		for i, fn := range p.functions {
-			if mask&(1<<i) != 0 {
+		for i, fn := range functions {
+			if c.Marks&(1<<i) != 0 {
 				fns = append(fns, fn)
 			}
 		}
-		sort.Strings(fns)
-		out = append(out, Scenario{Functions: fns, Probability: pr})
+		out = append(out, Scenario{Functions: fns, Probability: c.Probability})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Probability != out[j].Probability {
@@ -252,8 +204,9 @@ func (p *Profile) Scenarios() ([]Scenario, error) {
 
 // ExpectedInvocations returns the expected number of times each function is
 // invoked during one visit, computed from the fundamental matrix of the
-// profile's absorbing chain. Unlike scenario probabilities, this counts
-// repetitions: a {Home-Browse}* cycle contributes every bounce.
+// profile's absorbing chain, whose states are declared in Graph order.
+// Unlike scenario probabilities, this counts repetitions: a {Home-Browse}*
+// cycle contributes every bounce.
 //
 // The result links the user level to the performance model: with V visits
 // arriving per second, function f receives V·E[invocations of f] requests
@@ -262,10 +215,14 @@ func (p *Profile) ExpectedInvocations() (map[string]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	g := p.Graph()
 	chain := dtmc.New()
-	for from, row := range p.transitions {
-		for to, pr := range row {
-			if err := chain.AddTransition(from, to, pr); err != nil {
+	for _, name := range g.Names {
+		chain.AddState(name)
+	}
+	for from, arcs := range g.Succ {
+		for _, a := range arcs {
+			if err := chain.AddTransition(g.Names[from], g.Names[a.To], a.P); err != nil {
 				return nil, err
 			}
 		}

@@ -186,10 +186,8 @@ func TestScenarioKeyAndAccessors(t *testing.T) {
 	if got := p.TransitionProbability(Start, "A"); got != 1 {
 		t.Errorf("TransitionProbability = %v", got)
 	}
-	succ := p.Successors("A")
-	succ[Exit] = 99 // must be a copy
-	if p.TransitionProbability("A", Exit) != 1 {
-		t.Error("Successors leaked internal map")
+	if g := p.Graph(); len(g.Succ[1]) != 1 || g.Succ[1][0].To != g.End || g.Succ[1][0].P != 1 {
+		t.Errorf("Graph successors of A = %v", g.Succ[1])
 	}
 	if fns := p.Functions(); len(fns) != 1 || fns[0] != "A" {
 		t.Errorf("Functions = %v", fns)

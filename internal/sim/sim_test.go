@@ -318,61 +318,3 @@ func TestVisitSimulatorScenarioFrequencies(t *testing.T) {
 		}
 	}
 }
-
-// RevisitIndependent must be at most as available as RevisitOnce (redrawing
-// branches on every invocation can only add failure opportunities).
-func TestRevisitPolicyOrdering(t *testing.T) {
-	// Build a model with a branch-heavy function that is revisited.
-	profile := opprofile.New()
-	add := func(from, to string, p float64) {
-		t.Helper()
-		if err := profile.AddTransition(from, to, p); err != nil {
-			t.Fatalf("AddTransition: %v", err)
-		}
-	}
-	add(opprofile.Start, "Browse", 1)
-	add("Browse", "Browse", 0.5)
-	add("Browse", opprofile.Exit, 0.5)
-
-	d := interaction.New("Browse")
-	if err := d.AddStep("cache", "WS"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddStep("deep", "DB"); err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []struct {
-		from, to string
-		q        float64
-	}{
-		{interaction.Begin, "cache", 0.5},
-		{interaction.Begin, "deep", 0.5},
-		{"cache", interaction.End, 1},
-		{"deep", interaction.End, 1},
-	} {
-		if err := d.AddTransition(tr.from, tr.to, tr.q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := VisitSimulator{
-		Profile:             profile,
-		Diagrams:            map[string]*interaction.Diagram{"Browse": d},
-		ServiceAvailability: map[string]float64{"WS": 0.99, "DB": 0.5},
-	}
-	once := base
-	once.RevisitPolicy = RevisitOnce
-	indep := base
-	indep.RevisitPolicy = RevisitIndependent
-	rOnce, err := once.Run(200000, 3)
-	if err != nil {
-		t.Fatalf("Run(once): %v", err)
-	}
-	rIndep, err := indep.Run(200000, 3)
-	if err != nil {
-		t.Fatalf("Run(independent): %v", err)
-	}
-	if rIndep.Availability > rOnce.Availability+0.01 {
-		t.Errorf("independent redraw %v should not beat once-per-visit %v",
-			rIndep.Availability, rOnce.Availability)
-	}
-}

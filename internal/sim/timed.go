@@ -27,7 +27,7 @@ import (
 // margin so long visits stay inside the injected fault window); visits are
 // therefore independent and the Wald confidence interval is honest. Repeated
 // function invocations always re-execute — outcomes are time-dependent, so
-// there is no RevisitOnce caching.
+// unlike VisitSimulator it does not reuse a function's first outcome.
 type TimedVisitSimulator struct {
 	// Profile drives the random walk over functions.
 	Profile *opprofile.Profile
@@ -67,37 +67,27 @@ type TimedResult struct {
 	MeanVisitDuration float64
 }
 
-func (s TimedVisitSimulator) check() error {
-	if s.Profile == nil {
-		return fmt.Errorf("%w: nil profile", ErrSim)
-	}
-	if err := s.Profile.Validate(); err != nil {
-		return err
-	}
-	for _, fn := range s.Profile.Functions() {
-		d, ok := s.Diagrams[fn]
-		if !ok || d == nil {
-			return fmt.Errorf("%w: no diagram for function %q", ErrSim, fn)
-		}
-		if err := d.Validate(); err != nil {
-			return err
-		}
+func (s TimedVisitSimulator) check() (*walker, error) {
+	w, err := newWalker(s.Profile, s.Diagrams)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.Campaign.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.Policy.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if s.StepLatency < 0 || math.IsNaN(s.StepLatency) || math.IsInf(s.StepLatency, 0) {
-		return fmt.Errorf("%w: step latency %v", ErrSim, s.StepLatency)
+		return nil, fmt.Errorf("%w: step latency %v", ErrSim, s.StepLatency)
 	}
-	return nil
+	return w, nil
 }
 
 // Run simulates the given number of visits.
 func (s TimedVisitSimulator) Run(visits int64, seed int64) (TimedResult, error) {
-	if err := s.check(); err != nil {
+	w, err := s.check()
+	if err != nil {
 		return TimedResult{}, err
 	}
 	if visits < 1 {
@@ -117,13 +107,19 @@ func (s TimedVisitSimulator) Run(visits int64, seed int64) (TimedResult, error) 
 		}
 		v := &timedVisit{
 			sim:      &s,
+			walker:   w,
 			timeline: tl,
 			rng:      rng,
 			now:      0.5 * s.Campaign.Horizon * rng.Float64(),
 			breakers: make(map[string]*breakerState),
 		}
 		start := v.now
-		ok, err := v.run()
+		// Every invocation executes the function's diagram in visit time.
+		ok, err := walk(rng, &w.profile, func(fn int) (bool, error) {
+			return w.execute(rng, fn, func(services []int) bool {
+				return v.executeStep(w.profile.Names[fn], services)
+			})
+		})
 		if err != nil {
 			return TimedResult{}, err
 		}
@@ -138,16 +134,12 @@ func (s TimedVisitSimulator) Run(visits int64, seed int64) (TimedResult, error) 
 		res.TimeoutSteps += v.timeouts
 	}
 
-	avail, err := success.Estimate()
-	if err != nil {
-		return TimedResult{}, err
-	}
 	ci, err := success.ConfidenceInterval(0.95)
 	if err != nil {
 		return TimedResult{}, err
 	}
 	res.Visits = visits
-	res.Availability = avail
+	res.Availability = ci.Mean
 	res.CI95 = ci
 	res.MeanVisitDuration = durations.Mean()
 	return res, nil
@@ -162,6 +154,7 @@ type breakerState struct {
 // timedVisit carries the mutable state of one simulated visit.
 type timedVisit struct {
 	sim      *TimedVisitSimulator
+	walker   *walker
 	timeline *resilience.Timeline
 	rng      *rand.Rand
 	now      float64
@@ -172,75 +165,12 @@ type timedVisit struct {
 	timeouts  int64
 }
 
-// run walks the operational profile, executing every invoked function, and
-// reports whether the visit succeeded. Like VisitSimulator, it keeps walking
-// after a failure so scenario frequencies stay faithful to the profile.
-func (v *timedVisit) run() (bool, error) {
-	ok := true
-	node := opprofile.Start
-	const maxSteps = 100000
-	steps := 0
-	for node != opprofile.Exit {
-		steps++
-		if steps > maxSteps {
-			return false, fmt.Errorf("%w: visit exceeded %d steps; profile cyclic without exit?", ErrSim, maxSteps)
-		}
-		next, err := sampleTransition(v.rng, v.sim.Profile.Successors(node))
-		if err != nil {
-			return false, err
-		}
-		node = next
-		if node == opprofile.Exit {
-			break
-		}
-		fnOK, err := v.executeFunction(node)
-		if err != nil {
-			return false, err
-		}
-		if !fnOK {
-			ok = false
-		}
-	}
-	return ok, nil
-}
-
-// executeFunction walks one interaction-diagram execution in visit time.
-func (v *timedVisit) executeFunction(fn string) (bool, error) {
-	d := v.sim.Diagrams[fn]
-	node := interaction.Begin
-	ok := true
-	const maxSteps = 100000
-	steps := 0
-	for node != interaction.End {
-		steps++
-		if steps > maxSteps {
-			return false, fmt.Errorf("%w: diagram %q exceeded %d steps", ErrSim, fn, maxSteps)
-		}
-		next, err := sampleTransition(v.rng, d.Successors(node))
-		if err != nil {
-			return false, fmt.Errorf("sim: diagram %q: %w", fn, err)
-		}
-		node = next
-		if node == interaction.End {
-			break
-		}
-		svcs, found := d.StepServices(node)
-		if !found {
-			return false, fmt.Errorf("%w: diagram %q step %q unknown", ErrSim, fn, node)
-		}
-		if !v.executeStep(fn, svcs) {
-			ok = false
-		}
-	}
-	return ok, nil
-}
-
 // executeStep runs one diagram step under the policy: the step's services
 // are checked in parallel (AND semantics — the attempt's latency is the
 // maximum over services), failover tries add serial latency per service,
 // failed attempts are retried with backoff, and exhausted steps may still
 // complete in degraded mode.
-func (v *timedVisit) executeStep(fn string, services []string) bool {
+func (v *timedVisit) executeStep(fn string, services []int) bool {
 	pol := v.sim.Policy
 	attempts := pol.MaxAttempts()
 	for attempt := 1; ; attempt++ {
@@ -248,7 +178,8 @@ func (v *timedVisit) executeStep(fn string, services []string) bool {
 			extra  float64
 			failed []string
 		)
-		for _, svc := range services {
+		for _, k := range services {
+			svc := v.walker.services[k]
 			up, lat := v.resolveService(svc)
 			if lat > extra {
 				extra = lat

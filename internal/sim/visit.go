@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"strings"
 
 	"repro/internal/interaction"
 	"repro/internal/opprofile"
@@ -19,7 +19,10 @@ import (
 //
 // Because all functions within one visit see the same sampled service
 // states, shared services are handled exactly as in the analytic user-level
-// evaluation — by construction rather than by conditioning.
+// evaluation — by construction rather than by conditioning. A function's
+// branches are drawn once per visit: a repeated invocation reuses the first
+// execution's outcome, as equation (10) evaluates each function's branch
+// bracket once per scenario (cycles collapse).
 type VisitSimulator struct {
 	// Profile drives the random walk over functions.
 	Profile *opprofile.Profile
@@ -28,25 +31,7 @@ type VisitSimulator struct {
 	// ServiceAvailability maps every service referenced by the diagrams to
 	// its availability.
 	ServiceAvailability map[string]float64
-	// RevisitPolicy selects how repeated invocations of the same function
-	// within one visit are treated. The paper's equation (10) evaluates each
-	// function's branch bracket once per scenario (cycles collapse), which
-	// corresponds to RevisitOnce. RevisitIndependent redraws the branches on
-	// every invocation — a strictly harsher measure, provided for the
-	// sensitivity study.
-	RevisitPolicy RevisitPolicy
 }
-
-// RevisitPolicy controls branch re-drawing on repeated function invocations.
-type RevisitPolicy int
-
-const (
-	// RevisitOnce draws each function's internal branches once per visit
-	// (matches the paper's scenario-class semantics).
-	RevisitOnce RevisitPolicy = iota
-	// RevisitIndependent redraws branches on every invocation.
-	RevisitIndependent
-)
 
 // VisitResult summarizes a visit-simulation run.
 type VisitResult struct {
@@ -62,187 +47,82 @@ type VisitResult struct {
 	ScenarioCounts map[string]int64
 }
 
-func (v VisitSimulator) check() error {
-	if v.Profile == nil {
-		return fmt.Errorf("%w: nil profile", ErrSim)
-	}
-	if err := v.Profile.Validate(); err != nil {
-		return err
-	}
-	for _, fn := range v.Profile.Functions() {
-		d, ok := v.Diagrams[fn]
-		if !ok || d == nil {
-			return fmt.Errorf("%w: no diagram for function %q", ErrSim, fn)
-		}
-		if err := d.Validate(); err != nil {
-			return err
-		}
-		for _, svc := range d.Services() {
-			a, ok := v.ServiceAvailability[svc]
-			if !ok {
-				return fmt.Errorf("%w: no availability for service %q", ErrSim, svc)
-			}
-			if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 || a > 1 {
-				return fmt.Errorf("%w: availability %v for service %q", ErrSim, a, svc)
-			}
-		}
-	}
-	return nil
-}
-
 // Run simulates the given number of visits.
 func (v VisitSimulator) Run(visits int64, seed int64) (VisitResult, error) {
-	if err := v.check(); err != nil {
+	w, err := newWalker(v.Profile, v.Diagrams)
+	if err != nil {
 		return VisitResult{}, err
+	}
+	avail := make([]float64, len(w.services))
+	for i, svc := range w.services {
+		a, ok := v.ServiceAvailability[svc]
+		if !ok {
+			return VisitResult{}, fmt.Errorf("%w: no availability for service %q", ErrSim, svc)
+		}
+		if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 || a > 1 {
+			return VisitResult{}, fmt.Errorf("%w: availability %v for service %q", ErrSim, a, svc)
+		}
+		avail[i] = a
 	}
 	if visits < 1 {
 		return VisitResult{}, fmt.Errorf("%w: visits %d", ErrSim, visits)
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// Deterministic service order for sampling.
-	svcSet := make(map[string]bool)
-	for _, fn := range v.Profile.Functions() {
-		for _, svc := range v.Diagrams[fn].Services() {
-			svcSet[svc] = true
-		}
-	}
-	services := make([]string, 0, len(svcSet))
-	for svc := range svcSet {
-		services = append(services, svc)
-	}
-	sort.Strings(services)
-
 	var success stats.Proportion
-	counts := make(map[string]int64)
-	const maxSteps = 100000 // guard against malformed cyclic profiles
-
+	byMask := make(map[uint64]int64) // visits per set of invoked profile nodes
+	up := make([]bool, len(avail))
 	for i := int64(0); i < visits; i++ {
-		// Sample service states once per visit.
-		up := make(map[string]bool, len(services))
-		for _, svc := range services {
-			up[svc] = rng.Float64() < v.ServiceAvailability[svc]
+		// Sample service states once per visit, in name order.
+		for k, a := range avail {
+			up[k] = rng.Float64() < a
 		}
-
-		visited := make(map[string]bool)
-		funcOutcome := make(map[string]bool) // RevisitOnce cache
-		ok := true
-		node := opprofile.Start
-		steps := 0
-		for node != opprofile.Exit {
-			steps++
-			if steps > maxSteps {
-				return VisitResult{}, fmt.Errorf("%w: visit exceeded %d steps; profile cyclic without exit?", ErrSim, maxSteps)
+		var invoked, failed uint64 // by profile node
+		ok, err := walk(rng, &w.profile, func(fn int) (bool, error) {
+			bit := uint64(1) << fn
+			if invoked&bit != 0 {
+				return failed&bit == 0, nil
 			}
-			next, err := sampleTransition(rng, v.Profile.Successors(node))
-			if err != nil {
-				return VisitResult{}, err
-			}
-			node = next
-			if node == opprofile.Exit {
-				break
-			}
-			visited[node] = true
-			var fnOK bool
-			if v.RevisitPolicy == RevisitOnce {
-				cached, seen := funcOutcome[node]
-				if !seen {
-					cached, err = v.executeFunction(rng, node, up)
-					if err != nil {
-						return VisitResult{}, err
+			invoked |= bit
+			fnOK, err := w.execute(rng, fn, func(services []int) bool {
+				for _, s := range services {
+					if !up[s] {
+						return false
 					}
-					funcOutcome[node] = cached
 				}
-				fnOK = cached
-			} else {
-				fnOK, err = v.executeFunction(rng, node, up)
-				if err != nil {
-					return VisitResult{}, err
-				}
-			}
+				return true
+			})
 			if !fnOK {
-				ok = false
+				failed |= bit
 			}
+			return fnOK, err
+		})
+		if err != nil {
+			return VisitResult{}, err
 		}
-		fns := make([]string, 0, len(visited))
-		for fn := range visited {
-			fns = append(fns, fn)
-		}
-		counts[opprofile.ScenarioKey(fns)]++
+		byMask[invoked]++
 		success.Add(ok)
 	}
 
-	avail, err := success.Estimate()
-	if err != nil {
-		return VisitResult{}, err
-	}
 	ci, err := success.ConfidenceInterval(0.95)
 	if err != nil {
 		return VisitResult{}, err
 	}
+	// Profile nodes are in name order, so a mask lists its functions sorted.
+	counts := make(map[string]int64, len(byMask))
+	for mask, n := range byMask {
+		var fns []string
+		for fn, name := range w.profile.Names {
+			if mask&(1<<fn) != 0 {
+				fns = append(fns, name)
+			}
+		}
+		counts[strings.Join(fns, "+")] = n
+	}
 	return VisitResult{
 		Visits:         visits,
-		Availability:   avail,
+		Availability:   ci.Mean,
 		CI95:           ci,
 		ScenarioCounts: counts,
 	}, nil
-}
-
-// executeFunction walks one interaction-diagram execution and reports
-// whether every touched service was up.
-func (v VisitSimulator) executeFunction(rng *rand.Rand, fn string, up map[string]bool) (bool, error) {
-	d := v.Diagrams[fn]
-	node := interaction.Begin
-	ok := true
-	const maxSteps = 100000
-	steps := 0
-	for node != interaction.End {
-		steps++
-		if steps > maxSteps {
-			return false, fmt.Errorf("%w: diagram %q exceeded %d steps", ErrSim, fn, maxSteps)
-		}
-		next, err := sampleTransition(rng, d.Successors(node))
-		if err != nil {
-			return false, fmt.Errorf("sim: diagram %q: %w", fn, err)
-		}
-		node = next
-		if node == interaction.End {
-			break
-		}
-		svcs, found := d.StepServices(node)
-		if !found {
-			return false, fmt.Errorf("%w: diagram %q step %q unknown", ErrSim, fn, node)
-		}
-		for _, svc := range svcs {
-			if !up[svc] {
-				ok = false
-			}
-		}
-	}
-	return ok, nil
-}
-
-// sampleTransition picks a successor proportionally to its probability.
-// Successor iteration order is randomized by Go's map order, so the draw is
-// made order-independent by sorting keys.
-func sampleTransition(rng *rand.Rand, successors map[string]float64) (string, error) {
-	if len(successors) == 0 {
-		return "", fmt.Errorf("%w: node has no successors", ErrSim)
-	}
-	keys := make([]string, 0, len(successors))
-	var total float64
-	for k, p := range successors {
-		keys = append(keys, k)
-		total += p
-	}
-	sort.Strings(keys)
-	u := rng.Float64() * total
-	var acc float64
-	for _, k := range keys {
-		acc += successors[k]
-		if u < acc {
-			return k, nil
-		}
-	}
-	return keys[len(keys)-1], nil
 }

@@ -514,9 +514,16 @@ func transitionsFromScenarios(scenarios []modelspec.ScenarioSpec) map[string]map
 		}
 	}
 	for _, row := range weights {
+		// Summed in name order, so the normalized row is the same on every
+		// run.
+		tos := make([]string, 0, len(row))
+		for to := range row {
+			tos = append(tos, to)
+		}
+		sort.Strings(tos)
 		var sum float64
-		for _, w := range row {
-			sum += w
+		for _, to := range tos {
+			sum += row[to]
 		}
 		if sum > 0 {
 			for to := range row {

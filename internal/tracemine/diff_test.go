@@ -299,3 +299,23 @@ func TestRender(t *testing.T) {
 		t.Errorf("report rendering:\n%s", sb.String())
 	}
 }
+
+// The spec's implied transition rows are normalized by a sum taken in a
+// fixed order: 0.1 + 0.2 + 0.3 rounds differently in different orders, and
+// the specified probabilities must not change from run to run.
+func TestTransitionsFromScenariosDeterministic(t *testing.T) {
+	scenarios := []modelspec.ScenarioSpec{
+		{Name: "a", Functions: []string{"A"}, Probability: 0.1},
+		{Name: "b", Functions: []string{"B"}, Probability: 0.2},
+		{Name: "c", Functions: []string{"C"}, Probability: 0.3},
+	}
+	want := transitionsFromScenarios(scenarios)["Start"]
+	for i := 0; i < 100; i++ {
+		got := transitionsFromScenarios(scenarios)["Start"]
+		for to, p := range want {
+			if got[to] != p {
+				t.Fatalf("call %d: Start→%s = %v, want %v", i, to, got[to], p)
+			}
+		}
+	}
+}
