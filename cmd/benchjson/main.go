@@ -8,9 +8,10 @@
 //	benchjson -bench 'Figure1[12]Grid' -compare BENCH_baseline.json
 //
 // With -compare the freshly measured results are checked against a committed
-// baseline: benchmarks matched by name, and any whose ns/op grew by more than
-// -threshold (default 0.25 = 25%) fail the run with a non-zero exit — the CI
-// regression gate.
+// baseline: benchmarks matched by name, and any whose ns/op, or whose
+// allocs/op over a nonzero baseline recorded at the same GOMAXPROCS, grew
+// by more than -threshold (default 0.25 = 25%) fail the run with a
+// non-zero exit — the CI regression gate.
 //
 // The tool shells out to the local go toolchain, parses the standard
 // benchmark output lines (name, iterations, ns/op, and the -benchmem
@@ -44,7 +45,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds every other column by unit: b.SetBytes's MB/s and
 	// b.ReportMetric values such as spans/s. They are informational; the
-	// -compare gate reads only ns/op.
+	// -compare gate reads only ns/op and allocs/op.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -74,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 		packages  = fs.String("packages", ".", "comma-separated package patterns to benchmark")
 		out       = fs.String("out", "-", "output file (- for stdout)")
 		compare   = fs.String("compare", "", "baseline JSON to compare against; regressions fail the run")
-		threshold = fs.Float64("threshold", 0.25, "with -compare: allowed fractional ns/op growth before failing")
+		threshold = fs.Float64("threshold", 0.25, "with -compare: allowed fractional ns/op and allocs/op growth before failing")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,11 +121,14 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // Compare matches fresh results against a baseline by benchmark name and
-// reports per-benchmark ns/op deltas. It returns an error — failing the run —
-// when any matched benchmark slowed down by more than threshold (fractional:
-// 0.25 allows up to +25%). Benchmarks present on only one side are reported
-// but never fail the gate, so adding or retiring a benchmark doesn't require
-// a baseline refresh in the same change.
+// reports per-benchmark ns/op and allocs/op deltas. It returns an error —
+// failing the run — when any matched benchmark slowed down by more than
+// threshold (fractional: 0.25 allows up to +25%), or allocated more than
+// threshold more per op than a baseline that allocated at all and ran at
+// the same GOMAXPROCS. Benchmarks
+// present on only one side are reported but never fail the gate, so adding
+// or retiring a benchmark doesn't require a baseline refresh in the same
+// change.
 func Compare(w io.Writer, base, fresh *Document, threshold float64) error {
 	if threshold < 0 {
 		return fmt.Errorf("negative threshold %v", threshold)
@@ -147,10 +151,25 @@ func Compare(w io.Writer, base, fresh *Document, threshold float64) error {
 		verdict := "ok"
 		if ratio > 1+threshold {
 			verdict = "REGRESSED"
+		}
+		allocs := ""
+		if b.AllocsPerOp > 0 {
+			allocRatio := float64(r.AllocsPerOp) / float64(b.AllocsPerOp)
+			allocs = fmt.Sprintf("  %d -> %d allocs/op  %+6.1f%%", b.AllocsPerOp, r.AllocsPerOp, (allocRatio-1)*100)
+			switch {
+			case r.Procs != b.Procs:
+				// A parallel benchmark allocates per worker, so its
+				// allocs/op compare only at equal GOMAXPROCS.
+				allocs += fmt.Sprintf(" (procs %d -> %d, not gated)", b.Procs, r.Procs)
+			case allocRatio > 1+threshold:
+				verdict = "REGRESSED"
+			}
+		}
+		if verdict != "ok" {
 			regressed = append(regressed, r.Name)
 		}
-		fmt.Fprintf(w, "%-40s %10.0f -> %10.0f ns/op  %+6.1f%%  %s\n",
-			r.Name, b.NsPerOp, r.NsPerOp, (ratio-1)*100, verdict)
+		fmt.Fprintf(w, "%-40s %10.0f -> %10.0f ns/op  %+6.1f%%%s  %s\n",
+			r.Name, b.NsPerOp, r.NsPerOp, (ratio-1)*100, allocs, verdict)
 	}
 	leftover := make([]string, 0, len(baseByName))
 	for name := range baseByName {

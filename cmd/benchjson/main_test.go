@@ -129,3 +129,49 @@ func TestCompare(t *testing.T) {
 		t.Error("negative threshold accepted")
 	}
 }
+
+func TestCompareAllocs(t *testing.T) {
+	doc := func(allocs ...int64) *Document {
+		d := compareDocs([]string{"BenchmarkA", "BenchmarkB"}, 1000, 1000)
+		for i, a := range allocs {
+			d.Results[i].AllocsPerOp = a
+		}
+		return d
+	}
+	base := doc(100, 0)
+
+	// Within threshold, fewer, and growth over a zero baseline all pass.
+	for _, fresh := range []*Document{doc(125, 0), doc(10, 0), doc(100, 500)} {
+		var sb strings.Builder
+		if err := Compare(&sb, base, fresh, 0.25); err != nil {
+			t.Fatalf("Compare: %v\n%s", err, sb.String())
+		}
+		if strings.Contains(sb.String(), "REGRESSED") {
+			t.Errorf("no regression expected:\n%s", sb.String())
+		}
+	}
+
+	// +26% allocs/op at unchanged ns/op fails the gate and names the
+	// benchmark.
+	var sb strings.Builder
+	err := Compare(&sb, base, doc(126, 0), 0.25)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkA") || strings.Contains(err.Error(), "BenchmarkB") {
+		t.Fatalf("Compare = %v, want BenchmarkA alone regressed:\n%s", err, sb.String())
+	}
+	for _, want := range []string{"100 -> 126 allocs/op", "+26.0%", "REGRESSED"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	// At a different GOMAXPROCS the allocations are reported, not gated.
+	fresh := doc(300, 0)
+	fresh.Results[0].Procs = 4
+	sb.Reset()
+	if err := Compare(&sb, base, fresh, 0.25); err != nil {
+		t.Fatalf("Compare gated allocs across procs: %v\n%s", err, sb.String())
+	}
+	if !strings.Contains(sb.String(), "procs 8 -> 4, not gated") {
+		t.Errorf("output does not say the allocs were not gated:\n%s", sb.String())
+	}
+}

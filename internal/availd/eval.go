@@ -1,6 +1,7 @@
 package availd
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -113,27 +114,6 @@ func (e *Evaluator) CacheStats() (memo, structures, documents CacheStats) {
 
 // Composer exposes the shared grid composer, for diagnostics.
 func (e *Evaluator) Composer() *webfarm.Composer { return e.composer }
-
-// renderReport converts a hierarchy report to the wire form and marshals it.
-// encoding/json sorts map keys, so the bytes are deterministic.
-func renderReport(name string, rep *hierarchy.Report) ([]byte, error) {
-	resp := EvalResponse{
-		Model:              name,
-		Services:           rep.Services,
-		Functions:          rep.Functions,
-		Scenarios:          make([]ScenarioAvailability, 0, len(rep.Scenarios)),
-		UserAvailability:   rep.UserAvailability,
-		UserUnavailability: rep.UserUnavailability(),
-	}
-	for _, sc := range rep.Scenarios {
-		resp.Scenarios = append(resp.Scenarios, ScenarioAvailability{
-			Name:         sc.Name,
-			Probability:  sc.Probability,
-			Availability: sc.Availability,
-		})
-	}
-	return json.Marshal(resp)
-}
 
 // structure is a model structure shared by every document with its
 // structure key: the model built with every fixed service at 1 and
@@ -278,8 +258,13 @@ func (e *Evaluator) render(d *document, avail []float64) (rendered, error) {
 		if err != nil {
 			return rendered{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		body, err := renderReport(d.name, rep)
-		return rendered{body: body, user: rep.UserAvailability}, err
+		buf := getBuffer()
+		defer putBuffer(buf)
+		if *buf, err = appendReport((*buf)[:0], d.name, rep); err != nil {
+			return rendered{}, err
+		}
+		// The memo keeps the body, so it gets its own copy.
+		return rendered{body: bytes.Clone(*buf), user: rep.UserAvailability}, nil
 	})
 }
 
@@ -292,14 +277,18 @@ func (e *Evaluator) Evaluate(spec *modelspec.Spec, overrides map[string]float64)
 	if err != nil {
 		return nil, err
 	}
-	return e.evaluate(d, overrides)
+	return e.appendEvaluation(nil, d, overrides)
 }
 
-// evaluate is Evaluate on a resolved document.
-func (e *Evaluator) evaluate(d *document, overrides map[string]float64) ([]byte, error) {
+// appendEvaluation is Evaluate on a resolved document, appending the
+// response body to dst.
+func (e *Evaluator) appendEvaluation(dst []byte, d *document, overrides map[string]float64) ([]byte, error) {
 	if len(overrides) == 0 {
 		r, err := e.render(d, d.avail)
-		return r.body, err
+		if err != nil {
+			return nil, err
+		}
+		return append(dst, r.body...), nil
 	}
 	avail, err := d.override(overrides)
 	if err != nil {
@@ -313,19 +302,23 @@ func (e *Evaluator) evaluate(d *document, overrides map[string]float64) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	tail, err := json.Marshal(struct {
-		Baseline float64 `json:"baselineUserAvailability"`
-		Delta    float64 `json:"delta"`
-	}{base.user, mod.user - base.user})
-	if err != nil {
-		return nil, err
-	}
 	// EvalResponse renders the baseline and the delta last: splice them in
 	// before the modified body's closing brace.
-	body := make([]byte, 0, len(mod.body)+len(tail))
-	body = append(body, mod.body[:len(mod.body)-1]...)
-	body = append(body, ',')
-	return append(body, tail[1:]...), nil
+	dst = append(dst, mod.body[:len(mod.body)-1]...)
+	return appendWhatIfTail(dst, base.user, mod.user-base.user)
+}
+
+// cachedDocument returns the resolution of a spec document found in the
+// document cache, without parsing the document again; ok is false when it
+// is not cached or still resolving. A document that resolved without error
+// passed json.Unmarshal, so the hit vouches for its bytes as JSON; one whose
+// resolution failed vouches for them only after json.Valid.
+func (e *Evaluator) cachedDocument(raw []byte) (d *document, err error, ok bool) {
+	d, err, ok = e.documents.Get(string(raw))
+	if !ok || err != nil && !json.Valid(raw) {
+		return nil, nil, false
+	}
+	return d, err, true
 }
 
 // SweepRequest asks for a sensitivity sweep: one service's availability is

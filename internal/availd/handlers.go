@@ -1,12 +1,15 @@
 package availd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -277,28 +280,72 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// routeMetrics are one route's instruments: its latency histogram and its
+// request counters by method and status. Each is looked up in the registry
+// once, on the first request that needs it, so a series still appears in
+// /metrics only after its first request.
+type routeMetrics struct {
+	reg      *obs.Registry
+	name     string
+	histOnce sync.Once
+	hist     *obs.Histogram
+	mu       sync.RWMutex
+	counters map[counterKey]*obs.Counter
+}
+
+type counterKey struct {
+	method string
+	code   int
+}
+
+// histogram returns the route's latency histogram, nil when it cannot be
+// registered.
+func (m *routeMetrics) histogram() *obs.Histogram {
+	m.histOnce.Do(func() {
+		m.hist, _ = m.reg.Histogram("availd_request_seconds",
+			"API request latency in seconds", 1e-5, 2, 24,
+			obs.Label{Key: "route", Value: m.name})
+	})
+	return m.hist
+}
+
+// counter returns the request counter of (method, code), nil when it cannot
+// be registered.
+func (m *routeMetrics) counter(method string, code int) *obs.Counter {
+	key := counterKey{method, code}
+	m.mu.RLock()
+	c, ok := m.counters[key]
+	m.mu.RUnlock()
+	if ok {
+		return c
+	}
+	c, _ = m.reg.Counter("availd_requests_total", "API requests served",
+		obs.Label{Key: "route", Value: m.name},
+		obs.Label{Key: "method", Value: method},
+		obs.Label{Key: "code", Value: strconv.Itoa(code)})
+	m.mu.Lock()
+	m.counters[key] = c
+	m.mu.Unlock()
+	return c
+}
+
 // instrument wraps a handler with the request counter, latency histogram,
 // 5xx counter and a per-request span.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	m := &routeMetrics{reg: s.reg, name: name, counters: make(map[counterKey]*obs.Counter)}
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
 		elapsed := time.Since(start)
 
-		code := strconv.Itoa(sw.code)
-		if c, err := s.reg.Counter("availd_requests_total", "API requests served",
-			obs.Label{Key: "route", Value: name},
-			obs.Label{Key: "method", Value: r.Method},
-			obs.Label{Key: "code", Value: code}); err == nil {
+		if c := m.counter(r.Method, sw.code); c != nil {
 			c.Inc()
 		}
 		if sw.code >= 500 {
 			s.resp5xx.Inc()
 		}
-		if hist, err := s.reg.Histogram("availd_request_seconds",
-			"API request latency in seconds", 1e-5, 2, 24,
-			obs.Label{Key: "route", Value: name}); err == nil {
+		if hist := m.histogram(); hist != nil {
 			hist.Observe(elapsed.Seconds())
 		}
 		if s.tracer != nil {
@@ -311,7 +358,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 				OK:       sw.code < 500,
 				Attrs: map[string]string{
 					"route": name,
-					"code":  code,
+					"code":  strconv.Itoa(sw.code),
 				},
 			}}})
 		}
@@ -369,7 +416,12 @@ const (
 // (unknown fields rejected). On failure it writes the response — 413 above
 // the limit, 400 otherwise — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, limit), v)
+}
+
+// decodeFrom is decodeBody on a body reader that enforces the limit.
+func decodeFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
@@ -383,6 +435,40 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	}
 	writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("malformed request body: %v", err)})
 	return false
+}
+
+// readBody appends the request body, read through http.MaxBytesReader with
+// the given limit, to dst. On a read error it returns the bytes read so far
+// with the error.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, dst []byte) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := body.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// errReader returns its error on every read.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// replayBody returns a reader that yields body and then the error readBody
+// stopped on, so decodeFrom sees what it would have read from the request.
+func replayBody(body []byte, err error) io.Reader {
+	if err == nil {
+		return bytes.NewReader(body)
+	}
+	return io.MultiReader(bytes.NewReader(body), errReader{err})
 }
 
 // --- scenario CRUD -------------------------------------------------------
@@ -478,22 +564,44 @@ func (s *Server) resolveDocument(scenario string, inline json.RawMessage) (*docu
 	return s.eval.documentFor(raw)
 }
 
+// handleEvaluate reads the body once. A body in the scanner's shape whose
+// spec is a cached document is served without decoding the spec again;
+// every other body is decoded by decodeFrom, which gives it the status and
+// the error text it always got.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	in, out := getBuffer(), getBuffer()
+	defer putBuffer(in)
+	defer putBuffer(out)
+	body, readErr := readBody(w, r, maxBodyBytes, (*in)[:0])
+	*in = body
 	var req EvalRequest
-	if !decodeBody(w, r, maxBodyBytes, &req) {
-		return
+	var d *document
+	var err error
+	ok := readErr == nil && scanEvalRequest(body, &req)
+	switch {
+	case ok && req.Spec != nil:
+		d, err, ok = s.eval.cachedDocument(req.Spec)
+	case ok:
+		d, err = s.resolveDocument(req.Scenario, nil)
 	}
-	d, err := s.resolveDocument(req.Scenario, req.Spec)
+	if !ok {
+		req = EvalRequest{}
+		if !decodeFrom(w, replayBody(body, readErr), &req) {
+			return
+		}
+		d, err = s.resolveDocument(req.Scenario, req.Spec)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	body, err := s.eval.evaluate(d, req.Overrides)
+	resp, err := s.eval.appendEvaluation((*out)[:0], d, req.Overrides)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeBody(w, http.StatusOK, body)
+	*out = resp
+	writeBody(w, http.StatusOK, resp)
 }
 
 // --- async sweep jobs ----------------------------------------------------

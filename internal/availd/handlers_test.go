@@ -531,3 +531,67 @@ func TestMemoEvictionUnderServing(t *testing.T) {
 		t.Fatalf("re-eval = %d %s", code, resp1)
 	}
 }
+
+// The request counters and latency histograms are looked up once per route
+// and status, yet /metrics must show exactly the series the served
+// requests created, with the counts they add up to: one request of each
+// status class, plus a repeat.
+func TestRequestMetricsSeries(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	create, _ := json.Marshal(map[string]any{"name": "shop", "spec": json.RawMessage(demoSpec(0.999))})
+	for _, r := range []struct {
+		method, path, body string
+		code               int
+	}{
+		{http.MethodGet, "/api/v1/scenarios", "", http.StatusOK},
+		{http.MethodHead, "/api/v1/scenarios", "", http.StatusOK},
+		{http.MethodPost, "/api/v1/scenarios", string(create), http.StatusCreated},
+		{http.MethodPost, "/api/v1/scenarios", string(create), http.StatusConflict},
+		{http.MethodGet, "/api/v1/scenarios/ghost", "", http.StatusNotFound},
+		{http.MethodDelete, "/api/v1/scenarios/ghost", "", http.StatusNotFound},
+		{http.MethodPost, "/api/v1/evaluate", `{"scenario":"shop","overrides":{"WS":0.5}}`, http.StatusOK},
+		{http.MethodPost, "/api/v1/evaluate", `{"scenario":"shop","overrides":{"WS":0.5}}`, http.StatusOK},
+		{http.MethodPost, "/api/v1/evaluate", `{not json`, http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/evaluate", `{}`, http.StatusUnprocessableEntity},
+		{http.MethodPost, "/api/v1/evaluate", strings.Repeat(" ", maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{http.MethodDelete, "/api/v1/scenarios/shop?version=1", "", http.StatusNoContent},
+	} {
+		var body []byte
+		if r.body != "" {
+			body = []byte(r.body)
+		}
+		if code, got := request(t, ts, r.method, r.path, body); code != r.code {
+			t.Fatalf("%s %s = %d %s, want %d", r.method, r.path, code, got, r.code)
+		}
+	}
+	_, scrape := request(t, ts, http.MethodGet, "/metrics", nil)
+	var got []string
+	for _, line := range strings.Split(string(scrape), "\n") {
+		if strings.HasPrefix(line, "availd_requests_total") ||
+			strings.HasPrefix(line, "availd_request_seconds_count") ||
+			strings.HasPrefix(line, "availd_responses_5xx_total") {
+			got = append(got, line)
+		}
+	}
+	// Every series the requests above create, and no other.
+	want := []string{
+		`availd_request_seconds_count{route="evaluate"} 5`,
+		`availd_request_seconds_count{route="scenario"} 3`,
+		`availd_request_seconds_count{route="scenarios"} 4`,
+		`availd_requests_total{code="200",method="GET",route="scenarios"} 1`,
+		`availd_requests_total{code="200",method="HEAD",route="scenarios"} 1`,
+		`availd_requests_total{code="200",method="POST",route="evaluate"} 2`,
+		`availd_requests_total{code="201",method="POST",route="scenarios"} 1`,
+		`availd_requests_total{code="204",method="DELETE",route="scenario"} 1`,
+		`availd_requests_total{code="400",method="POST",route="evaluate"} 1`,
+		`availd_requests_total{code="404",method="DELETE",route="scenario"} 1`,
+		`availd_requests_total{code="404",method="GET",route="scenario"} 1`,
+		`availd_requests_total{code="409",method="POST",route="scenarios"} 1`,
+		`availd_requests_total{code="413",method="POST",route="evaluate"} 1`,
+		`availd_requests_total{code="422",method="POST",route="evaluate"} 1`,
+		`availd_responses_5xx_total 0`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("request series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

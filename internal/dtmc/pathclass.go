@@ -3,6 +3,7 @@ package dtmc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -58,16 +59,39 @@ func NewPathGraph(names []string, marks []uint64, trans map[string]map[string]fl
 	}
 	for i, name := range names {
 		row := trans[name]
-		tos := make([]string, 0, len(row))
-		for to := range row {
-			tos = append(tos, to)
-		}
-		sort.Strings(tos)
-		for _, to := range tos {
+		for _, to := range sortedKeys(row) {
 			g.Succ[i] = append(g.Succ[i], Arc{To: index[to], P: row[to]})
 		}
 	}
 	return g
+}
+
+// UnnormalizedRow returns the first row of trans, in name order, whose
+// probabilities, summed in name order, differ from 1 by more than 1e-9, and
+// that sum; ok is false when every row sums to 1. The orders make the
+// reported row and sum the same on every build.
+func UnnormalizedRow(trans map[string]map[string]float64) (from string, sum float64, ok bool) {
+	for _, from := range sortedKeys(trans) {
+		row := trans[from]
+		var sum float64
+		for _, to := range sortedKeys(row) {
+			sum += row[to]
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return from, sum, true
+		}
+	}
+	return "", 0, false
+}
+
+// sortedKeys returns the keys of m in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // PathClass is one class of Start → End paths: those that collect exactly

@@ -173,14 +173,8 @@ func (d *Diagram) Validate() error {
 	if len(d.trans[Begin]) == 0 {
 		return fmt.Errorf("%w: no transitions out of %s", ErrDiagram, Begin)
 	}
-	for from, row := range d.trans {
-		var sum float64
-		for _, q := range row {
-			sum += q
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("%w: transitions out of %q sum to %v", ErrDiagram, from, sum)
-		}
+	if from, sum, ok := dtmc.UnnormalizedRow(d.trans); ok {
+		return fmt.Errorf("%w: transitions out of %q sum to %v", ErrDiagram, from, sum)
 	}
 	for _, step := range d.nodeOrder {
 		if len(d.trans[step]) == 0 {

@@ -100,3 +100,35 @@ func TestScenariosStateBudget(t *testing.T) {
 		t.Errorf("eight services rejected after %v", elapsed)
 	}
 }
+
+// A diagram whose rows A, B and C each sum to 0.5 reports row A, with its
+// sum taken in name order, on every fresh build: the rows' map order must
+// not pick the row, nor round the sum (0.3+0.05+0.15 is 0.5 or
+// 0.49999999999999994 depending on the order).
+func TestValidateReportsRowsInNameOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	arcs := []arc{
+		{Begin, "A", 0.5}, {Begin, "B", 0.25}, {Begin, "C", 0.25},
+		{"A", "B", 0.3}, {"A", "C", 0.05}, {"A", End, 0.15},
+		{"B", "A", 0.3}, {"B", "C", 0.05}, {"B", End, 0.15},
+		{"C", "A", 0.3}, {"C", "B", 0.05}, {"C", End, 0.15},
+	}
+	nameOrderSum := 0.0
+	for _, q := range []float64{0.3, 0.05, 0.15} { // to B, C, then End
+		nameOrderSum += q
+	}
+	want := fmt.Sprintf("%v: transitions out of %q sum to %v", ErrDiagram, "A", nameOrderSum)
+	for i := 0; i < 200; i++ {
+		rng.Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+		d := New("rows")
+		for _, step := range []string{"A", "B", "C"} {
+			mustStep(t, d, step, "S"+step)
+		}
+		for _, a := range arcs {
+			mustTrans(t, d, a.from, a.to, a.q)
+		}
+		if err := d.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("build %d: Validate = %v, want %s", i, err, want)
+		}
+	}
+}

@@ -176,6 +176,9 @@ func validName(s string) bool {
 	return true
 }
 
+// labelEscaper escapes backslashes, quotes and newlines in label values.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // renderLabels builds the canonical {k="v",...} signature with keys sorted,
 // escaping backslashes, quotes and newlines in values.
 func renderLabels(labels []Label) (string, error) {
@@ -195,8 +198,7 @@ func renderLabels(labels []Label) (string, error) {
 		}
 		sb.WriteString(l.Key)
 		sb.WriteString(`="`)
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(l.Value)
-		sb.WriteString(v)
+		sb.WriteString(labelEscaper.Replace(l.Value))
 		sb.WriteByte('"')
 	}
 	sb.WriteByte('}')

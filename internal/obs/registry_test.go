@@ -74,13 +74,60 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.MustCounter("esc_total", "", Label{Key: "v", Value: `a"b\c` + "\n"})
+	values := map[string]string{
+		`a"b\c` + "\n":     `a\"b\\c\n`,
+		`\\`:               `\\\\`,
+		`""`:               `\"\"`,
+		"\n\n":             `\n\n`,
+		`\"` + "\n" + `\n`: `\\\"\n\\n`,
+		"plain":            "plain",
+		"":                 "",
+	}
+	for v := range values {
+		r.MustCounter("esc_total", "", Label{Key: "v", Value: v})
+	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if want := `esc_total{v="a\"b\\c\n"} 0`; !strings.Contains(sb.String(), want) {
-		t.Errorf("escaped series %q missing from:\n%s", want, sb.String())
+	for v, escaped := range values {
+		if want := `esc_total{v="` + escaped + `"} 0` + "\n"; !strings.Contains(sb.String(), want) {
+			t.Errorf("value %q: series %q missing from:\n%s", v, want, sb.String())
+		}
+	}
+	// The shared escaper is safe for concurrent registrations (run with
+	// -race).
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range values {
+				r.MustCounter("esc_total", "", Label{Key: "v", Value: v}).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	for v := range values {
+		if got := r.MustCounter("esc_total", "", Label{Key: "v", Value: v}).Value(); got != 4 {
+			t.Errorf("value %q: counter %d, want 4", v, got)
+		}
+	}
+}
+
+// Registering an existing (name, labels) pair, with the labels in any
+// order, returns the instrument registered first.
+func TestReregistrationReturnsSameInstrument(t *testing.T) {
+	r := NewRegistry()
+	a, b := Label{Key: "route", Value: "evaluate"}, Label{Key: "code", Value: "200"}
+	if c1, c2 := r.MustCounter("req_total", "", a, b), r.MustCounter("req_total", "", b, a); c1 != c2 {
+		t.Error("counter registered twice")
+	}
+	if g1, g2 := r.MustGauge("depth", "", a), r.MustGauge("depth", "", a); g1 != g2 {
+		t.Error("gauge registered twice")
+	}
+	if h1, h2 := r.MustHistogram("lat_seconds", "", 1e-5, 2, 24, a), r.MustHistogram("lat_seconds", "", 1e-5, 2, 24, a); h1 != h2 {
+		t.Error("histogram registered twice")
 	}
 }
 

@@ -113,14 +113,8 @@ func (p *Profile) Validate() error {
 	if len(p.functions) > maxFunctions {
 		return fmt.Errorf("%w: %d functions exceed limit %d", ErrProfile, len(p.functions), maxFunctions)
 	}
-	for from, row := range p.transitions {
-		var sum float64
-		for _, pr := range row {
-			sum += pr
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("%w: transitions out of %q sum to %v", ErrProfile, from, sum)
-		}
+	if from, sum, ok := dtmc.UnnormalizedRow(p.transitions); ok {
+		return fmt.Errorf("%w: transitions out of %q sum to %v", ErrProfile, from, sum)
 	}
 	return nil
 }

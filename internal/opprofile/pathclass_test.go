@@ -74,3 +74,35 @@ func TestScenariosStateBudget(t *testing.T) {
 		t.Fatalf("error %v, want ErrProfile wrapping dtmc.ErrStateBudget", err)
 	}
 }
+
+// A profile whose rows A, B and C each sum to 0.5 reports row A, with its
+// sum taken in name order, on every fresh build: the rows' map order must
+// not pick the row, nor round the sum (0.3+0.05+0.15 is 0.5 or
+// 0.49999999999999994 depending on the order).
+func TestValidateReportsRowsInNameOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	arcs := []struct {
+		from, to string
+		p        float64
+	}{
+		{Start, "A", 0.5}, {Start, "B", 0.25}, {Start, "C", 0.25},
+		{"A", "B", 0.3}, {"A", "C", 0.05}, {"A", Exit, 0.15},
+		{"B", "A", 0.3}, {"B", "C", 0.05}, {"B", Exit, 0.15},
+		{"C", "A", 0.3}, {"C", "B", 0.05}, {"C", Exit, 0.15},
+	}
+	nameOrderSum := 0.0
+	for _, q := range []float64{0.3, 0.05, 0.15} { // to B, C, then Exit
+		nameOrderSum += q
+	}
+	want := fmt.Sprintf("%v: transitions out of %q sum to %v", ErrProfile, "A", nameOrderSum)
+	for i := 0; i < 200; i++ {
+		rng.Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+		p := New()
+		for _, a := range arcs {
+			mustAdd(t, p, a.from, a.to, a.p)
+		}
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("build %d: Validate = %v, want %s", i, err, want)
+		}
+	}
+}

@@ -130,3 +130,35 @@ func TestMeteredPlaneTransitions(t *testing.T) {
 type planeFunc func() VisitState
 
 func (f planeFunc) Snapshot(*rand.Rand) (VisitState, error) { return f(), nil }
+
+// A registry already served while a cluster is being built may render the
+// cluster's topology gauges at any moment; run with -race.
+func TestClusterMetricsScrapedDuringNew(t *testing.T) {
+	reg := obs.NewRegistry()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				var sb strings.Builder
+				if err := reg.WritePrometheus(&sb); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		c, err := New(travelagency.DefaultParams(), Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	close(stop)
+	<-done
+}

@@ -172,7 +172,10 @@ func New(p travelagency.Params, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The metric funcs registered above may already be read by a scrape.
+	c.mu.Lock()
 	c.topo = topo
+	c.mu.Unlock()
 	switch opts.Transport {
 	case Direct:
 		c.disp = &directDispatcher{c: c}

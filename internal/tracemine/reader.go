@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 )
 
@@ -282,10 +282,10 @@ func decodeSpan(line []byte, names interner, sp *obs.Span) bool {
 			sp.Name, i, ok = scanName(line, i, names)
 		case "start":
 			bit = keyStart
-			sp.Start, i, ok = scanFloat(line, i)
+			sp.Start, i, ok = jsonscan.Number(line, i)
 		case "duration":
 			bit = keyDuration
-			sp.Duration, i, ok = scanFloat(line, i)
+			sp.Duration, i, ok = jsonscan.Number(line, i)
 		case "ok":
 			bit = keyOK
 			sp.OK, i, ok = scanBool(line, i)
@@ -354,49 +354,6 @@ func scanUint(line []byte, i int, max uint64) (uint64, int, bool) {
 		return 0, j, false
 	}
 	return n, j, true
-}
-
-// scanFloat scans a number matching the JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and parses it as
-// encoding/json does, declining values out of float64 range.
-func scanFloat(line []byte, i int) (float64, int, bool) {
-	j := i
-	digits := func() int {
-		k := j
-		for j < len(line) && line[j] >= '0' && line[j] <= '9' {
-			j++
-		}
-		return j - k
-	}
-	if j < len(line) && line[j] == '-' {
-		j++
-	}
-	switch n := digits(); {
-	case n == 0:
-		return 0, j, false
-	case n > 1 && line[j-n] == '0':
-		return 0, j, false
-	}
-	if j < len(line) && line[j] == '.' {
-		j++
-		if digits() == 0 {
-			return 0, j, false
-		}
-	}
-	if j < len(line) && (line[j] == 'e' || line[j] == 'E') {
-		j++
-		if j < len(line) && (line[j] == '+' || line[j] == '-') {
-			j++
-		}
-		if digits() == 0 {
-			return 0, j, false
-		}
-	}
-	f, err := strconv.ParseFloat(string(line[i:j]), 64)
-	if err != nil {
-		return 0, j, false
-	}
-	return f, j, true
 }
 
 // scanBool scans a true or false literal.
