@@ -605,6 +605,41 @@ func BenchmarkTestbedVisitLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkVisitsBridged measures one testbed visit the way the visits
+// workload of the repository benchmark runs it: one LoadGen worker, chunks of
+// 2,500 visits alternating between the classes, and each class's collector
+// bridged to a shared metrics registry and a 512-trace span ring.
+func BenchmarkVisitsBridged(b *testing.B) {
+	const chunk = 2500
+	cluster, err := testbed.New(travelagency.DefaultParams(), testbed.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	classes := []travelagency.UserClass{travelagency.ClassA, travelagency.ClassB}
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(512)
+	cols := make([]*telemetry.Collector, len(classes))
+	for i := range cols {
+		cols[i] = telemetry.NewCollector(0)
+		cols[i].SetOnRecord(obs.NewBridge(reg, tracer, nil).OnVisit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, k := 0, 0; done < b.N; k++ {
+		n := min(chunk, b.N-done)
+		ci := k % len(classes)
+		g := testbed.LoadGen{
+			Cluster: cluster, Class: classes[ci], Visits: int64(n), Workers: 1, Seed: 1,
+			Offset: int64(ci)<<40 + int64(k/len(classes))*chunk,
+		}
+		if err := g.Run(cols[ci]); err != nil {
+			b.Fatal(err)
+		}
+		done += n
+	}
+}
+
 // BenchmarkTraceMine measures the trace-mining pipeline end to end — JSONL
 // decode, trace grouping, visit folding and estimation — over a span stream
 // generated by a real testbed run (steps retained, so all four levels are

@@ -40,7 +40,15 @@ func TestFromObservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	succ := d.Successors("render")
+	g := d.Graph()
+	succ := map[string]float64{}
+	for i, name := range g.Names {
+		if name == "render" {
+			for _, a := range g.Succ[i] {
+				succ[g.Names[a.To]] = a.P
+			}
+		}
+	}
 	if math.Abs(succ["query"]-0.6) > 1e-12 || math.Abs(succ[End]-0.4) > 1e-12 {
 		t.Errorf("render successors = %v, want 0.6/0.4", succ)
 	}

@@ -2,6 +2,8 @@ package interaction
 
 import (
 	"testing"
+
+	"repro/internal/dtmc"
 )
 
 // FuzzDiagram drives diagram construction from arbitrary bytes: random steps,
@@ -50,12 +52,17 @@ func FuzzDiagram(f *testing.F) {
 			}
 		}
 		// Route leftover probability mass to End so many inputs validate.
+		g := d.Graph()
+		rows := make(map[string][]dtmc.Arc, len(g.Names))
+		for i, name := range g.Names {
+			rows[name] = g.Succ[i]
+		}
 		for _, node := range append([]string{Begin}, stepNames...) {
 			var sum float64
-			for _, q := range d.Successors(node) {
-				sum += q
+			for _, a := range rows[node] {
+				sum += a.P
 			}
-			if node != Begin && len(d.Successors(node)) == 0 {
+			if node != Begin && len(rows[node]) == 0 {
 				// Undeclared or isolated steps: AddTransition rejects
 				// undeclared sources, so this is safe to attempt blindly.
 				_ = d.AddTransition(node, End, 1)

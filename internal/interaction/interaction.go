@@ -156,17 +156,6 @@ func (d *Diagram) StepServices(step string) (services []string, ok bool) {
 	return append([]string(nil), svcs...), true
 }
 
-// Successors returns the outgoing transitions of a node as a copy
-// (simulation support).
-func (d *Diagram) Successors(from string) map[string]float64 {
-	row := d.trans[from]
-	out := make(map[string]float64, len(row))
-	for to, q := range row {
-		out[to] = q
-	}
-	return out
-}
-
 // Validate checks that Begin has outgoing flow, every node's outgoing
 // probabilities sum to one, and every declared step is connected.
 func (d *Diagram) Validate() error {

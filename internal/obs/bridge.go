@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/telemetry"
 )
 
@@ -14,6 +17,18 @@ type Bridge struct {
 	drift  *DriftDetector
 
 	visitDuration *Histogram
+	// Per-class and per-function instruments, each looked up in the
+	// registry once, on the first visit that needs it, so a series appears
+	// only after its first visit.
+	visits    sync.Map // class → *Counter
+	functions sync.Map // function → *functionMetrics
+}
+
+// functionMetrics are one function's bridge instruments.
+type functionMetrics struct {
+	invocations *Counter
+	latency     *Histogram
+	failures    atomic.Pointer[Counter] // set on the function's first failure
 }
 
 // NewBridge wires a bridge over the given sinks.
@@ -42,7 +57,12 @@ func (b *Bridge) OnVisit(tr telemetry.VisitTrace) {
 
 func (b *Bridge) recordMetrics(tr telemetry.VisitTrace) {
 	class := Label{Key: "class", Value: tr.Class}
-	b.reg.MustCounter("ta_visits_total", "completed user visits", class).Inc()
+	visits, ok := b.visits.Load(tr.Class)
+	if !ok {
+		visits, _ = b.visits.LoadOrStore(tr.Class,
+			b.reg.MustCounter("ta_visits_total", "completed user visits", class))
+	}
+	visits.(*Counter).Inc()
 	if !tr.OK {
 		b.reg.MustCounter("ta_visit_failures_total",
 			"failed visits by first cause", class,
@@ -55,24 +75,42 @@ func (b *Bridge) recordMetrics(tr telemetry.VisitTrace) {
 	}
 	b.visitDuration.Observe(tr.Duration)
 	for _, fn := range tr.Functions {
-		fl := Label{Key: "function", Value: fn.Function}
-		b.reg.MustCounter("ta_function_invocations_total",
-			"function invocations across all visits", fl).Inc()
+		m := b.functionMetrics(fn.Function)
+		m.invocations.Inc()
 		if !fn.OK {
-			b.reg.MustCounter("ta_function_failures_total",
-				"failed function invocations", fl).Inc()
+			failures := m.failures.Load()
+			if failures == nil {
+				failures = b.reg.MustCounter("ta_function_failures_total",
+					"failed function invocations", Label{Key: "function", Value: fn.Function})
+				m.failures.Store(failures)
+			}
+			failures.Inc()
 		}
-		h := b.reg.MustHistogram("ta_step_latency_seconds",
-			"executed diagram-step latency, model seconds", 1e-3, 2, 22, fl)
 		for _, st := range fn.Steps {
-			h.Observe(st.Latency)
+			m.latency.Observe(st.Latency)
 		}
 		if len(fn.Steps) == 0 {
 			// Step tracing disabled: one observation per function, mirroring
 			// the collector's fallback.
-			h.Observe(fn.Duration)
+			m.latency.Observe(fn.Duration)
 		}
 	}
+}
+
+// functionMetrics returns fn's instruments, registering its invocation
+// counter and step-latency histogram on its first invocation.
+func (b *Bridge) functionMetrics(fn string) *functionMetrics {
+	if m, ok := b.functions.Load(fn); ok {
+		return m.(*functionMetrics)
+	}
+	fl := Label{Key: "function", Value: fn}
+	m, _ := b.functions.LoadOrStore(fn, &functionMetrics{
+		invocations: b.reg.MustCounter("ta_function_invocations_total",
+			"function invocations across all visits", fl),
+		latency: b.reg.MustHistogram("ta_step_latency_seconds",
+			"executed diagram-step latency, model seconds", 1e-3, 2, 22, fl),
+	})
+	return m.(*functionMetrics)
 }
 
 // VisitSpans converts one telemetry visit trace into the four-level span

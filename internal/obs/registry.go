@@ -80,8 +80,16 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // telemetry.Histogram, rendered as a Prometheus histogram with cumulative
 // le buckets.
 type Histogram struct {
-	mu sync.Mutex
-	h  *telemetry.Histogram
+	mu     sync.Mutex
+	h      *telemetry.Histogram
+	layout histogramLayout
+}
+
+// histogramLayout is the geometric bucket layout a histogram series was
+// registered with.
+type histogramLayout struct {
+	base, factor float64
+	buckets      int
 }
 
 // Observe records one value.
@@ -310,17 +318,24 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 }
 
 // Histogram registers (or finds) a histogram series with the given geometric
-// bucket layout (see telemetry.NewHistogram).
+// bucket layout (see telemetry.NewHistogram). Finding an existing series
+// allocates no histogram; requesting it with a different layout returns
+// ErrRegistry.
 func (r *Registry) Histogram(name, help string, base, factor float64, buckets int, labels ...Label) (*Histogram, error) {
-	th, err := telemetry.NewHistogram(base, factor, buckets)
-	if err != nil {
+	if err := telemetry.CheckLayout(base, factor, buckets); err != nil {
 		return nil, err
 	}
+	layout := histogramLayout{base, factor, buckets}
 	s, err := r.register(name, help, kindHistogram, labels, func() *series {
-		return &series{hist: &Histogram{h: th}}
+		th, _ := telemetry.NewHistogram(base, factor, buckets) // layout checked above
+		return &series{hist: &Histogram{h: th, layout: layout}}
 	})
 	if err != nil {
 		return nil, err
+	}
+	if s.hist.layout != layout {
+		return nil, fmt.Errorf("%w: histogram %s%s registered with layout %+v, requested %+v",
+			ErrRegistry, name, s.labels, s.hist.layout, layout)
 	}
 	return s.hist, nil
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"math"
 	"regexp"
 	"strings"
@@ -271,5 +272,52 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 	}
 	if total != 5 {
 		t.Errorf("rendered %d con_total series, want 5:\n%s", total, sb.String())
+	}
+}
+
+// TestHistogramLookupAllocations checks that finding an existing histogram
+// costs no more allocations than finding a counter with the same labels: the
+// bucket array is built only for a new series.
+func TestHistogramLookupAllocations(t *testing.T) {
+	r := NewRegistry()
+	l := Label{Key: "function", Value: "Home"}
+	r.MustCounter("calls_total", "", l)
+	r.MustHistogram("step_seconds", "", 1e-3, 2, 22, l)
+	counter := testing.AllocsPerRun(100, func() { r.MustCounter("calls_total", "", l) })
+	hist := testing.AllocsPerRun(100, func() { r.MustHistogram("step_seconds", "", 1e-3, 2, 22, l) })
+	if hist > counter {
+		t.Errorf("histogram lookup allocates %v, counter lookup %v", hist, counter)
+	}
+}
+
+// TestHistogramLayoutMismatch checks that an existing histogram requested
+// with another bucket layout is an error, not the first layout returned
+// silently, and that invalid layouts are still rejected.
+func TestHistogramLayoutMismatch(t *testing.T) {
+	r := NewRegistry()
+	l := Label{Key: "route", Value: "evaluate"}
+	h := r.MustHistogram("lat_seconds", "", 1e-3, 2, 22, l)
+	for _, layout := range []struct {
+		base, factor float64
+		buckets      int
+	}{{1e-4, 2, 22}, {1e-3, 4, 22}, {1e-3, 2, 23}} {
+		if _, err := r.Histogram("lat_seconds", "", layout.base, layout.factor, layout.buckets, l); !errors.Is(err, ErrRegistry) {
+			t.Errorf("layout %+v: err = %v, want ErrRegistry", layout, err)
+		}
+	}
+	if got, err := r.Histogram("lat_seconds", "", 1e-3, 2, 22, l); err != nil || got != h {
+		t.Errorf("same layout: %p, %v; want %p", got, err, h)
+	}
+	// Another series of the family may use its own layout.
+	if _, err := r.Histogram("lat_seconds", "", 1e-4, 2, 22, Label{Key: "route", Value: "health"}); err != nil {
+		t.Errorf("new series: %v", err)
+	}
+	for _, bad := range []struct {
+		base, factor float64
+		buckets      int
+	}{{0, 2, 22}, {math.NaN(), 2, 22}, {1e-3, 1, 22}, {1e-3, math.Inf(1), 22}, {1e-3, 2, 2}} {
+		if _, err := r.Histogram("bad_seconds", "", bad.base, bad.factor, bad.buckets); err == nil {
+			t.Errorf("layout %+v accepted", bad)
+		}
 	}
 }

@@ -24,14 +24,8 @@ type Histogram struct {
 // NewHistogram creates a histogram with the given smallest bucket bound,
 // geometric growth factor, and bucket count.
 func NewHistogram(base, factor float64, buckets int) (*Histogram, error) {
-	if !(base > 0) || math.IsInf(base, 0) {
-		return nil, fmt.Errorf("telemetry: histogram base %v", base)
-	}
-	if !(factor > 1) || math.IsInf(factor, 0) {
-		return nil, fmt.Errorf("telemetry: histogram factor %v", factor)
-	}
-	if buckets < 3 {
-		return nil, fmt.Errorf("telemetry: %d buckets (need ≥ 3)", buckets)
+	if err := CheckLayout(base, factor, buckets); err != nil {
+		return nil, err
 	}
 	return &Histogram{
 		base:    base,
@@ -40,6 +34,21 @@ func NewHistogram(base, factor float64, buckets int) (*Histogram, error) {
 		logBase: math.Log(base),
 		logFac:  math.Log(factor),
 	}, nil
+}
+
+// CheckLayout reports whether NewHistogram accepts the layout, without
+// allocating one.
+func CheckLayout(base, factor float64, buckets int) error {
+	if !(base > 0) || math.IsInf(base, 0) {
+		return fmt.Errorf("telemetry: histogram base %v", base)
+	}
+	if !(factor > 1) || math.IsInf(factor, 0) {
+		return fmt.Errorf("telemetry: histogram factor %v", factor)
+	}
+	if buckets < 3 {
+		return fmt.Errorf("telemetry: %d buckets (need ≥ 3)", buckets)
+	}
+	return nil
 }
 
 // defaultLatencyHistogram covers 1 ms to ~17 minutes of model time with

@@ -40,6 +40,8 @@ const (
 type StepTrace struct {
 	Function string
 	Step     string
+	// Services are the services the step called. The testbed shares one
+	// slice among every trace of the step, so it must not be modified.
 	Services []string
 	// At is the visit-virtual instant at which the step started.
 	At float64

@@ -19,7 +19,8 @@ import (
 // runs as a real request chain. Visits are distributed over a worker pool,
 // but every visit derives its own rng from (Seed, visit index), so results
 // are independent of scheduling and fully reproducible for a fixed seed in
-// unpaced runs.
+// unpaced runs. Each worker reseeds one visitSource per visit, whose draws
+// equal those of rand.NewSource(visitSeed(Seed, index)).
 type LoadGen struct {
 	Cluster *Cluster
 	Class   travelagency.UserClass
@@ -96,12 +97,13 @@ func (g *LoadGen) Run(col *telemetry.Collector) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := rand.New(newVisitSource(0))
 			for {
 				i := next.Add(1) - 1
 				if i >= g.Visits {
 					return
 				}
-				rng := rand.New(rand.NewSource(visitSeed(g.Seed, g.Offset+i)))
+				rng.Seed(visitSeed(g.Seed, g.Offset+i))
 				if g.Rate > 0 && scale > 0 {
 					// Visit i starts at its absolute deadline i/Rate, so
 					// pacing never perturbs the per-visit rng stream.

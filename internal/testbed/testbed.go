@@ -109,6 +109,7 @@ type Cluster struct {
 	params   travelagency.Params
 	opts     Options
 	diagrams map[string]*interaction.Diagram
+	walks    sync.Map // function → *walk, built on its first walk
 	disp     dispatcher
 	metrics  *clusterMetrics
 

@@ -3,10 +3,9 @@ package testbed
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"repro/internal/dtmc"
 	"repro/internal/hierarchy"
-	"repro/internal/interaction"
 	"repro/internal/telemetry"
 )
 
@@ -75,28 +74,25 @@ func (c *Cluster) RunVisit(id uint64, scenario hierarchy.UserScenario, rng *rand
 // functions still execute, mirroring the paper's per-function availability
 // semantics under frozen service states).
 func (c *Cluster) runFunction(t *topology, id uint64, fn string, at float64, state VisitState, rng *rand.Rand, keepSteps bool) (telemetry.FunctionTrace, error) {
-	d, ok := c.diagrams[fn]
-	if !ok {
-		return telemetry.FunctionTrace{}, fmt.Errorf("%w: unknown function %q", ErrTestbed, fn)
+	w, err := c.walkOf(fn)
+	if err != nil {
+		return telemetry.FunctionTrace{}, err
 	}
 	ftr := telemetry.FunctionTrace{Function: fn, OK: true}
-	node := interaction.Begin
+	node := w.Start
 	for walked := 0; ; walked++ {
 		if walked >= maxWalkSteps {
 			return telemetry.FunctionTrace{}, fmt.Errorf("%w: function %q walk exceeded %d steps", ErrTestbed, fn, maxWalkSteps)
 		}
-		next, err := sampleSuccessor(d.Successors(node), rng)
-		if err != nil {
-			return telemetry.FunctionTrace{}, fmt.Errorf("testbed: function %q at %q: %w", fn, node, err)
+		arcs := w.Succ[node]
+		if len(arcs) == 0 {
+			return telemetry.FunctionTrace{}, fmt.Errorf("testbed: function %q at %q: %w: node has no outgoing transitions", fn, w.Names[node], ErrTestbed)
 		}
-		if next == interaction.End {
+		next := sampleArc(arcs, rng.Float64())
+		if next == w.End {
 			return ftr, nil
 		}
-		services, ok := d.StepServices(next)
-		if !ok {
-			return telemetry.FunctionTrace{}, fmt.Errorf("%w: function %q step %q undeclared", ErrTestbed, fn, next)
-		}
-		st, err := c.runStep(t, id, fn, next, services, at+ftr.Duration, state, rng)
+		st, err := c.runStep(t, id, fn, w.Names[next], w.services[next], at+ftr.Duration, state, rng)
 		if err != nil {
 			return telemetry.FunctionTrace{}, err
 		}
@@ -112,6 +108,48 @@ func (c *Cluster) runFunction(t *topology, id uint64, fn string, at float64, sta
 		}
 		node = next
 	}
+}
+
+// walk is one function's interaction diagram compiled for the visit walk:
+// its path graph, whose rows list successors in name order, and the services
+// each node requires. Both are shared by every visit and never mutated.
+type walk struct {
+	dtmc.PathGraph
+	services [][]string
+}
+
+// walkOf returns fn's compiled walk, building it on the function's first
+// walk so that New does not pay for it.
+func (c *Cluster) walkOf(fn string) (*walk, error) {
+	if w, ok := c.walks.Load(fn); ok {
+		return w.(*walk), nil
+	}
+	d, ok := c.diagrams[fn]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown function %q", ErrTestbed, fn)
+	}
+	w := &walk{PathGraph: d.Graph()}
+	w.services = make([][]string, len(w.Names))
+	for i, name := range w.Names {
+		w.services[i], _ = d.StepServices(name)
+	}
+	got, _ := c.walks.LoadOrStore(fn, w)
+	return got.(*walk), nil
+}
+
+// sampleArc picks the first arc, in row order, whose cumulative probability
+// exceeds the uniform draw u, or the last arc. Unlike sim's walker it does
+// not scale u by the row sum: recorded visit streams, and the spans mined
+// from them, are pinned to this draw.
+func sampleArc(arcs []dtmc.Arc, u float64) int {
+	var acc float64
+	for _, a := range arcs {
+		acc += a.P
+		if u < acc {
+			return a.To
+		}
+	}
+	return arcs[len(arcs)-1].To
 }
 
 // runStep executes one diagram step: every required service is called (the
@@ -157,26 +195,4 @@ func (c *Cluster) runStep(t *topology, id uint64, fn, step string, services []st
 		}
 	}
 	return st, nil
-}
-
-// sampleSuccessor draws the next node from a transition row. Keys are walked
-// in sorted order so the draw is reproducible for a given rng state.
-func sampleSuccessor(succ map[string]float64, rng *rand.Rand) (string, error) {
-	if len(succ) == 0 {
-		return "", fmt.Errorf("%w: node has no outgoing transitions", ErrTestbed)
-	}
-	keys := make([]string, 0, len(succ))
-	for k := range succ {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	u := rng.Float64()
-	var acc float64
-	for _, k := range keys {
-		acc += succ[k]
-		if u < acc {
-			return k, nil
-		}
-	}
-	return keys[len(keys)-1], nil
 }
