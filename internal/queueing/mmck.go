@@ -74,25 +74,30 @@ func (q MMcK) StateDistribution() ([]float64, error) {
 // The computation replays the BirthDeath recursion without materializing the
 // rate and probability vectors (the birth and death rates of an M/M/c/K queue
 // are closed-form in the state index), so it is allocation-free; the result
-// is bit-identical to StateDistribution()[Capacity].
+// is bit-identical to StateDistribution()[Capacity]. The log birth rate is
+// one constant, and so is the log death rate log(c·ν) of every state from
+// c−1 on; only the c−1 states below take a logarithm of their own. Each term
+// is BirthDeath's expression, (logTerm + log α) − log death, on the same
+// operands in the same order, which is what keeps the bits.
+//
+//ta:hotpath
 func (q MMcK) LossProbability() (float64, error) {
 	if err := q.check(); err != nil {
 		return 0, err
 	}
-	// deathRate(n) is death[n] of StateDistribution's birth–death system.
-	deathRate := func(n int) float64 {
-		servers := n + 1
-		if servers > q.Servers {
-			servers = q.Servers
-		}
-		return float64(servers) * q.Service
-	}
+	la := math.Log(q.Arrival)
+	lc := math.Log(float64(q.Servers) * q.Service)
 	// Pass 1: the BirthDeath logTerm recursion, tracking only the maximum
 	// (which starts at 0 = logTerm[0], exactly as BirthDeath's scan does).
+	// State n dies at rate (n+1)·ν below c−1 and c·ν from there on.
 	var maxLog float64
 	logTerm := 0.0
 	for n := 0; n < q.Capacity; n++ {
-		logTerm = logTerm + math.Log(q.Arrival) - math.Log(deathRate(n))
+		ld := lc
+		if n+1 < q.Servers {
+			ld = math.Log(float64(n+1) * q.Service)
+		}
+		logTerm = (logTerm + la) - ld
 		if logTerm > maxLog {
 			maxLog = logTerm
 		}
@@ -103,7 +108,11 @@ func (q MMcK) LossProbability() (float64, error) {
 	logTerm = 0
 	last := sum
 	for n := 0; n < q.Capacity; n++ {
-		logTerm = logTerm + math.Log(q.Arrival) - math.Log(deathRate(n))
+		ld := lc
+		if n+1 < q.Servers {
+			ld = math.Log(float64(n+1) * q.Service)
+		}
+		logTerm = (logTerm + la) - ld
 		last = math.Exp(logTerm - maxLog)
 		sum += last
 	}

@@ -2,10 +2,14 @@
 // compositions of components in series, parallel, and k-of-n arrangements,
 // evaluated for steady-state availability under the independence assumption.
 //
-// The travel-agency study uses block diagrams at the service level:
+// The travel-agency study describes its service level with block diagrams:
 // external reservation services are 1-of-N parallel blocks (Table 3), and the
 // redundant application/database services are 1-of-2 parallel blocks of
-// hosts, in series with a 1-of-2 block of mirrored disks (Table 4).
+// hosts, in series with a 1-of-2 block of mirrored disks (Table 4). Package
+// travelagency evaluates those fixed shapes in closed form rather than
+// building diagrams, and its tests hold the closed form to this package bit
+// for bit. Here, diagrams serve the k-of-n group services of modelspec
+// documents and any hierarchy service given as a block.
 package rbd
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hierarchy"
-	"repro/internal/rbd"
 	"repro/internal/sweep"
 	"repro/internal/webfarm"
 )
@@ -19,66 +18,25 @@ func serviceAvailabilities(p Params, comp *webfarm.Composer) (map[string]float64
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	out := map[string]float64{
-		SvcInternet: p.NetAvailability,
-		SvcLAN:      p.LANAvailability,
-		SvcPayment:  p.PaymentAvailability,
-	}
+	out := make(map[string]float64, 9)
+	out[SvcInternet] = p.NetAvailability
+	out[SvcLAN] = p.LANAvailability
+	out[SvcPayment] = p.PaymentAvailability
 
 	// Table 3: external reservation services are 1-of-N parallel groups.
-	external := []struct {
-		svc   string
-		n     int
-		avail float64
-	}{
-		{SvcFlight, p.FlightSystems, p.FlightSystemAvailability},
-		{SvcHotel, p.HotelSystems, p.HotelSystemAvailability},
-		{SvcCar, p.CarSystems, p.CarSystemAvailability},
-	}
-	for _, e := range external {
-		blocks, err := rbd.Replicate(e.svc, e.n, e.avail)
-		if err != nil {
-			return nil, fmt.Errorf("travelagency: %s: %w", e.svc, err)
-		}
-		a, err := rbd.Eval(rbd.Parallel(e.svc+"-1ofN", blocks...))
-		if err != nil {
-			return nil, fmt.Errorf("travelagency: %s: %w", e.svc, err)
-		}
-		out[e.svc] = a
-	}
+	out[SvcFlight] = oneOfN(p.FlightSystems, p.FlightSystemAvailability)
+	out[SvcHotel] = oneOfN(p.HotelSystems, p.HotelSystemAvailability)
+	out[SvcCar] = oneOfN(p.CarSystems, p.CarSystemAvailability)
 
-	// Table 4: application and database services.
+	// Table 4: application and database services. The redundant DB service
+	// is a 1-of-2 host group in series with a 1-of-2 mirrored-disk group.
 	switch p.Architecture {
 	case Basic:
 		out[SvcApp] = p.AppHostAvailability
 		out[SvcDB] = p.DBHostAvailability * p.DiskAvailability
 	case Redundant:
-		hosts, err := rbd.Replicate("app-host", 2, p.AppHostAvailability)
-		if err != nil {
-			return nil, err
-		}
-		as, err := rbd.Eval(rbd.Parallel("app-service", hosts...))
-		if err != nil {
-			return nil, err
-		}
-		out[SvcApp] = as
-
-		dbHosts, err := rbd.Replicate("db-host", 2, p.DBHostAvailability)
-		if err != nil {
-			return nil, err
-		}
-		disks, err := rbd.Replicate("disk", 2, p.DiskAvailability)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := rbd.Eval(rbd.Series("db-service",
-			rbd.Parallel("db-hosts", dbHosts...),
-			rbd.Parallel("mirrored-disks", disks...),
-		))
-		if err != nil {
-			return nil, err
-		}
-		out[SvcDB] = ds
+		out[SvcApp] = oneOfN(2, p.AppHostAvailability)
+		out[SvcDB] = oneOfN(2, p.DBHostAvailability) * oneOfN(2, p.DiskAvailability)
 	}
 
 	// Table 5: web service via the composite performance-availability model.
@@ -94,6 +52,22 @@ func serviceAvailabilities(p Params, comp *webfarm.Composer) (map[string]float64
 	}
 	out[SvcWeb] = ws
 	return out, nil
+}
+
+// oneOfN is the availability of a 1-of-n group of independent components
+// of availability a, 1 − (1−a)ⁿ. It multiplies the n unavailabilities in
+// turn, as the rbd parallel block does over rbd.Replicate's leaves, so it is
+// bit-identical to rbd.Eval(rbd.Parallel(name, rbd.Replicate(prefix, n,
+// a)...)) (TestOneOfNMatchesRBD); Params.Validate has already rejected
+// every n and a on which Replicate would fail.
+//
+//ta:hotpath
+func oneOfN(n int, a float64) float64 {
+	u := 1.0
+	for range n {
+		u *= 1 - a
+	}
+	return 1 - u
 }
 
 // WebFarm returns the webfarm model configured from the parameters.
