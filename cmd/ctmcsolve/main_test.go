@@ -97,3 +97,32 @@ func TestDOTOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenOutputs pins the full rendered output of the three-state model
+// in testdata for the steady-state table, the transient table and the DOT
+// rendering, byte for byte.
+func TestGoldenOutputs(t *testing.T) {
+	const model = "testdata/three.json"
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"steady.golden", []string{model}},
+		{"transient.golden", []string{"-transient", "1", "-initial", "up", model}},
+		{"dot.golden", []string{"-dot", model}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			got, err := runCapture(t, tc.args...)
+			if err != nil {
+				t.Fatalf("run %v: %v", tc.args, err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("ctmcsolve %v drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, tc.golden, got, want)
+			}
+		})
+	}
+}

@@ -17,7 +17,8 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 //
 //	go test ./cmd/taeval -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
-	for _, name := range []string{"table2", "table6", "table8", "figure2", "figures3to6", "figure11"} {
+	for _, name := range []string{"table2", "table6", "table8", "figure2", "figures3to6", "figure11",
+		"ablation-maintenance", "ablation-repairdist", "first-year", "load-derivation", "mttf", "validate-ws"} {
 		t.Run(name, func(t *testing.T) {
 			got := runCapture(t, "-experiment", name)
 			path := filepath.Join("testdata", name+".golden")
