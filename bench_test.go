@@ -231,8 +231,8 @@ func BenchmarkFigure13Categories(b *testing.B) {
 	}
 }
 
-// BenchmarkGTHSteadyState solves the Figure 10 chain with the generic
-// numeric path used throughout the validation experiments.
+// BenchmarkGTHSteadyState solves the compiled Figure 10 chain with the GTH
+// kernel used throughout the validation experiments.
 func BenchmarkGTHSteadyState(b *testing.B) {
 	m := repairmodel.ImperfectCoverage{
 		Servers: 10, FailureRate: 1e-4, RepairRate: 1, Coverage: 0.98, ReconfigRate: 12,
@@ -241,9 +241,13 @@ func BenchmarkGTHSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cc, err := chain.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dist, err := chain.SteadyState()
+		dist, err := cc.SteadyState()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +255,8 @@ func BenchmarkGTHSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkUniformization computes a transient point solution.
+// BenchmarkUniformization computes a transient point solution on the
+// compiled chain.
 func BenchmarkUniformization(b *testing.B) {
 	chain := ctmc.New()
 	for i := 0; i < 20; i++ {
@@ -264,10 +269,14 @@ func BenchmarkUniformization(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	cc, err := chain.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	initial := ctmc.Distribution{"s0": 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := chain.Transient(initial, 5, 1e-10)
+		d, err := cc.Transient(initial, 5, 1e-10)
 		if err != nil {
 			b.Fatal(err)
 		}

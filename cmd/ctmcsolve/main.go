@@ -62,10 +62,10 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *dot {
-		steady, err := chain.SteadyState()
-		if err != nil {
-			// Reducible chains still render, just unannotated.
-			steady = nil
+		// Empty and reducible chains still render, just unannotated.
+		var steady ctmc.Distribution
+		if cc, err := chain.Compile(); err == nil {
+			steady, _ = cc.SteadyState()
 		}
 		_, werr := io.WriteString(w, chain.MarshalDOT(fs.Arg(0), steady))
 		return werr
@@ -83,7 +83,11 @@ func run(args []string, w io.Writer) error {
 		return tbl.Render(w)
 	}
 
-	steady, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		return err
+	}
+	steady, err := cc.SteadyState()
 	if err != nil {
 		return err
 	}
@@ -99,7 +103,7 @@ func run(args []string, w io.Writer) error {
 		if *initial == "" {
 			return fmt.Errorf("-transient requires -initial")
 		}
-		dist, err := chain.Transient(ctmc.Distribution{*initial: 1}, *transientAt, 1e-12)
+		dist, err := cc.Transient(ctmc.Distribution{*initial: 1}, *transientAt, 1e-12)
 		if err != nil {
 			return err
 		}

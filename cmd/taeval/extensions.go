@@ -344,7 +344,11 @@ func runFirstYear(w io.Writer, csv bool) error {
 			return err
 		}
 		// Steady-state structural downtime for comparison.
-		dist, err := chain.SteadyState()
+		cc, err := chain.Compile()
+		if err != nil {
+			return err
+		}
+		dist, err := cc.SteadyState()
 		if err != nil {
 			return err
 		}

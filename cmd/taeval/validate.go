@@ -15,7 +15,7 @@ import (
 )
 
 // runValidateWS cross-checks the web-service availability along three
-// independent paths: the closed-form composite model, the generic CTMC
+// independent paths: the closed-form composite model, the compiled CTMC
 // solver applied to the Figure 10 chain, and (at a faster-failing operating
 // point) the joint-process stochastic simulation.
 func runValidateWS(w io.Writer, csv bool) error {
@@ -72,9 +72,7 @@ func runValidateWS(w io.Writer, csv bool) error {
 
 // webServiceViaCTMC recomputes A(WS) by solving the Figure 9/10 repair chain
 // with the compiled CTMC kernel instead of the paper's closed forms, then
-// composing with the queueing losses of each state. The compiled GTH solve
-// is bit-identical to the generic solver's (see internal/ctmc tests), so the
-// cross-validation numbers are unchanged.
+// composing with the queueing losses of each state.
 func webServiceViaCTMC(f webfarm.Farm) (float64, error) {
 	model, err := f.Compose() // establishes p_K(i) per state
 	if err != nil {

@@ -71,10 +71,11 @@ func ReadKernelStats() KernelStats {
 // large buffers. Compiling takes a snapshot — later mutations of the source
 // Chain do not affect the compiled form.
 //
-// The numeric kernels replicate the generic solvers' arithmetic order, so
-// compiled results match the map-based paths to well below 1e-12 (and are
-// bit-identical for the steady-state GTH path, whose dense elimination is
-// order-independent of the sparse representation).
+// Compiled is the package's only steady-state and transient solver. Its
+// kernels keep the arithmetic order of the generic reference solvers in
+// reference_test.go: the GTH steady state is bit-identical to the reference,
+// whose dense elimination does not depend on the sparse representation, and
+// uniformization agrees to well below 1e-12.
 type Compiled struct {
 	names       []string
 	index       map[string]int
@@ -267,7 +268,7 @@ func (cc *Compiled) StateIndex(name string) (int, error) {
 }
 
 // Distribution converts a probability vector (indexed by state) into the
-// name-keyed Distribution used by the generic API.
+// name-keyed Distribution.
 func (cc *Compiled) Distribution(pi []float64) Distribution {
 	d := make(Distribution, len(pi))
 	for i, p := range pi {
@@ -284,8 +285,11 @@ func resize(dst []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// SteadyState computes the stationary distribution with the compiled GTH
-// kernel and returns it in the generic Distribution form.
+// SteadyState computes the stationary distribution of an irreducible chain
+// using the Grassmann–Taksar–Heyman (GTH) elimination algorithm, which avoids
+// subtractive cancellation and is therefore accurate even when transition
+// rates span many orders of magnitude (e.g. repair rate 1/h vs. failure rate
+// 1e-4/h as in the travel-agency models).
 func (cc *Compiled) SteadyState() (Distribution, error) {
 	pi, err := cc.SteadyStateInto(nil)
 	if err != nil {
@@ -327,7 +331,7 @@ func (cc *Compiled) SteadyStateInto(dst []float64) ([]float64, error) {
 		}
 	}
 
-	// GTH elimination, mirroring Chain.steadyStateVector's arithmetic: for
+	// GTH elimination: for
 	// k = n-1 down to 1, redistribute state k's probability flow over states
 	// 0..k-1 using only additions, multiplications and positive divisions.
 	for k := n - 1; k >= 1; k-- {
@@ -378,9 +382,9 @@ func (cc *Compiled) SteadyStateInto(dst []float64) ([]float64, error) {
 }
 
 // SteadyStateLU computes the stationary distribution by solving πQ = 0 with
-// the normalization Σπ = 1 through the reusable-buffer LU path. It exists as
-// the compiled counterpart of Chain.SteadyStateLU: an independent numeric
-// cross-check of the GTH kernel that also exercises linalg's workspace reuse.
+// the normalization Σπ = 1 through the reusable-buffer LU path: an
+// independent numeric cross-check of the GTH kernel that also exercises
+// linalg's workspace reuse.
 func (cc *Compiled) SteadyStateLU() (Distribution, error) {
 	pi, err := cc.steadyStateLUInto(nil)
 	if err != nil {
@@ -450,10 +454,9 @@ func (cc *Compiled) steadyStateLUInto(dst []float64) ([]float64, error) {
 }
 
 // poissonTerms fills the workspace's weight cache with the Poisson pmf terms
-// of the uniformization series for rate·time product lt, truncated exactly
-// as the generic Transient path truncates (mass tolerance tol past the
-// mean, hard cap at mean + 12·√mean + 40). Cached terms are reused when the
-// same (lt, tol) recurs.
+// of the uniformization series for rate·time product lt, truncated at mass
+// tolerance tol past the mean, with a hard cap at mean + 12·√mean + 40.
+// Cached terms are reused when the same (lt, tol) recurs.
 func (ws *compiledWorkspace) poissonTerms(lt, tol float64) ([]float64, float64) {
 	if ws.lt == lt && ws.tol == tol && len(ws.weights) > 0 {
 		kernelCounters.poissonHits.Add(1)
@@ -480,8 +483,12 @@ func (ws *compiledWorkspace) poissonTerms(lt, tol float64) ([]float64, float64) 
 	return ws.weights, sumW
 }
 
-// Transient computes the state distribution at time t from the given initial
-// distribution, like Chain.Transient but through the compiled kernel.
+// Transient computes the state distribution at time t, starting from the
+// given initial distribution, using uniformization (randomization / Jensen's
+// method) with adaptive truncation of the Poisson series.
+//
+// The tolerance bounds the total truncated probability mass; 1e-12 is a good
+// default. Initial states absent from `initial` have probability zero.
 func (cc *Compiled) Transient(initial Distribution, t, tol float64) (Distribution, error) {
 	p0 := make([]float64, len(cc.names))
 	var total float64
@@ -579,7 +586,7 @@ func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) (
 }
 
 // PointAvailability computes the probability of being in any of the `up`
-// states at time t, the compiled counterpart of Chain.PointAvailability.
+// states at time t, starting from the initial distribution.
 func (cc *Compiled) PointAvailability(initial Distribution, t float64, up func(name string) bool) (float64, error) {
 	d, err := cc.Transient(initial, t, 1e-12)
 	if err != nil {

@@ -116,8 +116,8 @@ func randomIrreducibleChain(t testing.TB, rng *rand.Rand, n int) *Chain {
 }
 
 // TestCompiledSteadyStateRandomized is the property test: on randomized
-// irreducible chains the compiled and generic stationary vectors agree to
-// 1e-12, and both LU variants agree with GTH.
+// irreducible chains the compiled and generic GTH stationary vectors are
+// bit-identical, and the two LU variants agree to 1e-12.
 func TestCompiledSteadyStateRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
@@ -135,8 +135,10 @@ func TestCompiledSteadyStateRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if d := maxDistDiff(t, generic, compiled); d > 1e-12 {
-			t.Fatalf("trial %d (n=%d): GTH diff %v", trial, n, d)
+		for name, p := range generic {
+			if math.Float64bits(compiled[name]) != math.Float64bits(p) {
+				t.Fatalf("trial %d (n=%d): state %q: compiled GTH %v != generic %v (expected bit-identical)", trial, n, name, compiled[name], p)
+			}
 		}
 		lu, err := cc.SteadyStateLU()
 		if err != nil {

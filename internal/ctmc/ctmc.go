@@ -3,10 +3,13 @@
 // solve), transient solution via uniformization, reward evaluation, and mean
 // time to absorption.
 //
-// Chains are built by naming states and adding transitions with positive
-// rates. The package is the generic engine backing the availability models of
+// Chain builds a chain by naming states and adding transitions with positive
+// rates; Compile freezes it into the solver-ready form whose kernels compute
+// every steady-state and transient distribution. The generic map-based
+// solvers live on only in the package's tests, as the references the compiled
+// kernels are checked against. The package backs the availability models of
 // the travel-agency study: the closed-form repair models in package
-// repairmodel are cross-validated against this solver.
+// repairmodel are cross-validated against it.
 package ctmc
 
 import (
@@ -14,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/linalg"
 )
 
 // ErrUnknownState is returned when a state name has not been declared.
@@ -35,10 +36,9 @@ var ErrNotIrreducible = errors.New("ctmc: chain is not irreducible")
 // Chain is a continuous-time Markov chain under construction or analysis.
 // The zero value is not usable; create chains with New.
 type Chain struct {
-	names  []string
-	index  map[string]int
-	rates  []map[int]float64 // rates[i][j] = rate from i to j
-	frozen bool
+	names []string
+	index map[string]int
+	rates []map[int]float64 // rates[i][j] = rate from i to j
 }
 
 // New returns an empty chain.
@@ -73,30 +73,6 @@ func (c *Chain) AddTransition(from, to string, rate float64) error {
 	i := c.AddState(from)
 	j := c.AddState(to)
 	c.rates[i][j] += rate
-	return nil
-}
-
-// SetRate replaces the rate of an existing transition. Unlike AddTransition
-// it does not accumulate and it cannot create new edges: it is the
-// rate-refresh path used by frozen structures (a GSPN reachability graph
-// whose firing rates are re-evaluated) to keep a chain skeleton current
-// without rebuilding it.
-func (c *Chain) SetRate(from, to string, rate float64) error {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return fmt.Errorf("%w: %q -> %q rate %v", ErrBadRate, from, to, rate)
-	}
-	i, err := c.StateIndex(from)
-	if err != nil {
-		return err
-	}
-	j, err := c.StateIndex(to)
-	if err != nil {
-		return err
-	}
-	if _, ok := c.rates[i][j]; !ok {
-		return fmt.Errorf("ctmc: no transition %q -> %q to refresh", from, to)
-	}
-	c.rates[i][j] = rate
 	return nil
 }
 
@@ -142,25 +118,6 @@ func (c *Chain) ExitRate(i int) float64 {
 	return s
 }
 
-// Generator returns the infinitesimal generator matrix Q, where
-// Q[i][j] = rate(i→j) for i ≠ j and Q[i][i] = -Σ_j rate(i→j).
-func (c *Chain) Generator() (*linalg.Matrix, error) {
-	n := len(c.names)
-	if n == 0 {
-		return nil, ErrEmpty
-	}
-	q := linalg.NewMatrix(n, n)
-	for i, row := range c.rates {
-		var exit float64
-		for j, r := range row {
-			q.Set(i, j, r)
-			exit += r
-		}
-		q.Set(i, i, -exit)
-	}
-	return q, nil
-}
-
 // successors returns the sorted successor indices of state i.
 func (c *Chain) successors(i int) []int {
 	out := make([]int, 0, len(c.rates[i]))
@@ -169,43 +126,6 @@ func (c *Chain) successors(i int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// isIrreducible reports whether every state can reach every other state
-// (strong connectivity of the transition graph).
-func (c *Chain) isIrreducible() bool {
-	n := len(c.names)
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	reach := func(start int, forward bool) int {
-		seen := make([]bool, n)
-		stack := []int{start}
-		seen[start] = true
-		count := 1
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for w := 0; w < n; w++ {
-				var connected bool
-				if forward {
-					connected = c.rates[v][w] > 0
-				} else {
-					connected = c.rates[w][v] > 0
-				}
-				if connected && !seen[w] {
-					seen[w] = true
-					count++
-					stack = append(stack, w)
-				}
-			}
-		}
-		return count
-	}
-	return reach(0, true) == n && reach(0, false) == n
 }
 
 // Distribution maps state names to probabilities.
@@ -232,12 +152,4 @@ func (d Distribution) ExpectedReward(reward func(name string) float64) float64 {
 		s += p * reward(name)
 	}
 	return s
-}
-
-func (c *Chain) toDistribution(pi []float64) Distribution {
-	d := make(Distribution, len(pi))
-	for i, p := range pi {
-		d[c.names[i]] = p
-	}
-	return d
 }

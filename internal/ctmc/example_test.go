@@ -7,7 +7,7 @@ import (
 )
 
 // The classic repairable component: availability µ/(λ+µ) at steady state.
-func ExampleChain_SteadyState() {
+func ExampleCompiled_SteadyState() {
 	c := ctmc.New()
 	check := func(err error) {
 		if err != nil {
@@ -16,7 +16,11 @@ func ExampleChain_SteadyState() {
 	}
 	check(c.AddTransition("up", "down", 0.001))
 	check(c.AddTransition("down", "up", 0.5))
-	dist, err := c.SteadyState()
+	cc, err := c.Compile()
+	if err != nil {
+		panic(err)
+	}
+	dist, err := cc.SteadyState()
 	if err != nil {
 		panic(err)
 	}

@@ -1,0 +1,309 @@
+package ctmc
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/linalg"
+)
+
+// This file holds the generic solvers over the map-based Chain: GTH and LU
+// steady state, uniformization, and the irreducibility check they share.
+// Production code solves through Compile; the tests and FuzzCompiledCTMC
+// check the compiled kernels against these references.
+
+// Generator returns the infinitesimal generator matrix Q, where
+// Q[i][j] = rate(i→j) for i ≠ j and Q[i][i] = -Σ_j rate(i→j).
+func (c *Chain) Generator() (*linalg.Matrix, error) {
+	n := len(c.names)
+	if n == 0 {
+		return nil, ErrEmpty
+	}
+	q := linalg.NewMatrix(n, n)
+	for i, row := range c.rates {
+		var exit float64
+		for j, r := range row {
+			q.Set(i, j, r)
+			exit += r
+		}
+		q.Set(i, i, -exit)
+	}
+	return q, nil
+}
+
+// isIrreducible reports whether every state can reach every other state
+// (strong connectivity of the transition graph).
+func (c *Chain) isIrreducible() bool {
+	n := len(c.names)
+	if n == 0 {
+		return false
+	}
+	if n == 1 {
+		return true
+	}
+	reach := func(start int, forward bool) int {
+		seen := make([]bool, n)
+		stack := []int{start}
+		seen[start] = true
+		count := 1
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for w := 0; w < n; w++ {
+				var connected bool
+				if forward {
+					connected = c.rates[v][w] > 0
+				} else {
+					connected = c.rates[w][v] > 0
+				}
+				if connected && !seen[w] {
+					seen[w] = true
+					count++
+					stack = append(stack, w)
+				}
+			}
+		}
+		return count
+	}
+	return reach(0, true) == n && reach(0, false) == n
+}
+
+func (c *Chain) toDistribution(pi []float64) Distribution {
+	d := make(Distribution, len(pi))
+	for i, p := range pi {
+		d[c.names[i]] = p
+	}
+	return d
+}
+
+// SteadyState computes the stationary distribution π of an irreducible chain
+// using the Grassmann–Taksar–Heyman (GTH) elimination algorithm, which avoids
+// subtractive cancellation and is therefore accurate even when transition
+// rates span many orders of magnitude (e.g. repair rate 1/h vs. failure rate
+// 1e-4/h as in the travel-agency models).
+func (c *Chain) SteadyState() (Distribution, error) {
+	pi, err := c.steadyStateVector()
+	if err != nil {
+		return nil, err
+	}
+	return c.toDistribution(pi), nil
+}
+
+func (c *Chain) steadyStateVector() ([]float64, error) {
+	n := len(c.names)
+	if n == 0 {
+		return nil, ErrEmpty
+	}
+	if n == 1 {
+		return []float64{1}, nil
+	}
+	if !c.isIrreducible() {
+		return nil, ErrNotIrreducible
+	}
+
+	// Work on a dense copy of the rate matrix (off-diagonal rates only).
+	a := linalg.NewMatrix(n, n)
+	for i, row := range c.rates {
+		for j, r := range row {
+			a.Set(i, j, r)
+		}
+	}
+
+	// GTH elimination: for k = n-1 down to 1, redistribute state k's
+	// probability flow over states 0..k-1. Only additions, multiplications
+	// and divisions by positive numbers occur.
+	for k := n - 1; k >= 1; k-- {
+		var total float64
+		for j := 0; j < k; j++ {
+			total += a.At(k, j)
+		}
+		if total <= 0 {
+			return nil, fmt.Errorf("%w: state %q has no transitions to lower-numbered states during GTH elimination", ErrNotIrreducible, c.names[k])
+		}
+		for i := 0; i < k; i++ {
+			rateIK := a.At(i, k)
+			if rateIK == 0 {
+				continue
+			}
+			f := rateIK / total
+			for j := 0; j < k; j++ {
+				if v := a.At(k, j); v != 0 {
+					a.Add(i, j, f*v)
+				}
+			}
+		}
+	}
+
+	// Back substitution: π₀ unnormalized = 1; πₖ = Σ_{i<k} πᵢ·a(i,k)/total(k).
+	pi := make([]float64, n)
+	pi[0] = 1
+	for k := 1; k < n; k++ {
+		var total float64
+		for j := 0; j < k; j++ {
+			total += a.At(k, j)
+		}
+		var num float64
+		for i := 0; i < k; i++ {
+			num += pi[i] * a.At(i, k)
+		}
+		pi[k] = num / total
+	}
+	if _, err := linalg.Normalize(pi); err != nil {
+		return nil, fmt.Errorf("ctmc: normalize steady state: %w", err)
+	}
+	if !linalg.AllFinite(pi) {
+		return nil, fmt.Errorf("ctmc: steady state contains non-finite probabilities")
+	}
+	return pi, nil
+}
+
+// SteadyStateLU computes the stationary distribution by directly solving
+// πQ = 0 with the normalization Σπ = 1 via LU factorization. It is provided
+// as an independent cross-check of the GTH path; GTH should be preferred for
+// stiff chains.
+func (c *Chain) SteadyStateLU() (Distribution, error) {
+	n := len(c.names)
+	if n == 0 {
+		return nil, ErrEmpty
+	}
+	if !c.isIrreducible() {
+		return nil, ErrNotIrreducible
+	}
+	q, err := c.Generator()
+	if err != nil {
+		return nil, err
+	}
+	// Solve Qᵀπ = 0 with the last equation replaced by Σπ = 1.
+	a := q.Transpose()
+	for j := 0; j < n; j++ {
+		a.Set(n-1, j, 1)
+	}
+	b := make([]float64, n)
+	b[n-1] = 1
+	pi, err := linalg.Solve(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("ctmc: steady-state solve: %w", err)
+	}
+	// Clamp tiny negative round-off.
+	for i, p := range pi {
+		if p < 0 {
+			if p < -1e-9 {
+				return nil, fmt.Errorf("ctmc: steady-state probability %v for state %q is negative beyond round-off", p, c.names[i])
+			}
+			pi[i] = 0
+		}
+	}
+	if _, err := linalg.Normalize(pi); err != nil {
+		return nil, err
+	}
+	return c.toDistribution(pi), nil
+}
+
+// Transient computes the state distribution at time t, starting from the
+// given initial distribution, using uniformization (randomization / Jensen's
+// method) with adaptive truncation of the Poisson series.
+//
+// The tolerance bounds the total truncated probability mass; 1e-12 is a good
+// default. Initial states absent from `initial` have probability zero.
+func (c *Chain) Transient(initial Distribution, t float64, tol float64) (Distribution, error) {
+	n := len(c.names)
+	if n == 0 {
+		return nil, ErrEmpty
+	}
+	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil, fmt.Errorf("ctmc: invalid time %v", t)
+	}
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	p0 := make([]float64, n)
+	var total float64
+	for name, pr := range initial {
+		i, err := c.StateIndex(name)
+		if err != nil {
+			return nil, err
+		}
+		if pr < 0 {
+			return nil, fmt.Errorf("ctmc: negative initial probability %v for %q", pr, name)
+		}
+		p0[i] = pr
+		total += pr
+	}
+	if math.Abs(total-1) > 1e-9 {
+		return nil, fmt.Errorf("ctmc: initial distribution sums to %v, want 1", total)
+	}
+	if t == 0 {
+		return c.toDistribution(p0), nil
+	}
+
+	// Uniformization rate: strictly larger than every exit rate.
+	var lambda float64
+	for i := 0; i < n; i++ {
+		if r := c.ExitRate(i); r > lambda {
+			lambda = r
+		}
+	}
+	if lambda == 0 {
+		// No transitions at all: distribution is unchanged.
+		return c.toDistribution(p0), nil
+	}
+	lambda *= 1.02
+
+	// DTMC kernel P = I + Q/lambda, applied as vector-matrix products using
+	// the sparse rate maps.
+	applyP := func(v []float64) []float64 {
+		out := make([]float64, n)
+		for i, vi := range v {
+			if vi == 0 {
+				continue
+			}
+			exit := c.ExitRate(i)
+			out[i] += vi * (1 - exit/lambda)
+			for j, r := range c.rates[i] {
+				out[j] += vi * r / lambda
+			}
+		}
+		return out
+	}
+
+	// Poisson weights with scaling: accumulate Σ_k w_k · (p0·P^k).
+	lt := lambda * t
+	// Upper truncation point: mean + wide safety margin.
+	kMax := int(lt + 12*math.Sqrt(lt) + 40)
+	acc := make([]float64, n)
+	v := p0
+	logW := -lt // log of Poisson(k=0) weight
+	sumW := 0.0
+	for k := 0; ; k++ {
+		w := math.Exp(logW)
+		for i := range acc {
+			acc[i] += w * v[i]
+		}
+		sumW += w
+		if 1-sumW < tol && float64(k) >= lt {
+			break
+		}
+		if k >= kMax {
+			break
+		}
+		logW += math.Log(lt) - math.Log(float64(k+1))
+		v = applyP(v)
+	}
+	// Renormalize the truncation defect.
+	if sumW > 0 {
+		for i := range acc {
+			acc[i] /= sumW
+		}
+	}
+	return c.toDistribution(acc), nil
+}
+
+// PointAvailability computes the probability of being in any of the `up`
+// states at time t, starting from the initial distribution.
+func (c *Chain) PointAvailability(initial Distribution, t float64, up func(name string) bool) (float64, error) {
+	d, err := c.Transient(initial, t, 1e-12)
+	if err != nil {
+		return 0, err
+	}
+	return d.SumOver(up), nil
+}

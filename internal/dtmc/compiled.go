@@ -65,17 +65,19 @@ type edgeRef struct {
 // Concurrent Analyze calls are safe; SetProbability must not race with
 // Analyze (single-owner mutation, like rebuilding a Chain).
 //
-// The numeric kernel replicates AnalyzeAbsorbing's arithmetic operation for
-// operation — identity-minus-Q assembly, LU with partial pivoting, unit-vector
-// column solves, and the dense N·R product — so results are bit-identical to
-// the generic path.
+// Compiled is the package's only absorbing-chain solver. Its numeric kernel
+// follows the textbook analysis operation for operation — identity-minus-Q
+// assembly, LU with partial pivoting, unit-vector column solves, and the
+// dense N·R product — so results are bit-identical to the generic reference
+// solver that the tests keep (AnalyzeAbsorbing, in reference_test.go).
 type Compiled struct {
 	names     []string
 	index     map[string]int
 	transient []int // chain indices of transient states
 	absorbing []int // chain indices of absorbing states
-	posT      map[int]int
-	posA      map[int]int
+	// pos maps a chain index to its transient position, or to the
+	// complement ^k of its absorbing position k (always negative).
+	pos []int
 
 	qRowPtr []int // len t+1
 	qCol    []int // transient positions
@@ -84,8 +86,10 @@ type Compiled struct {
 	rCol    []int // absorbing positions
 	rVal    []float64
 
-	edges map[[2]int]edgeRef // (from, to) chain indices → CSR slot
-	pool  sync.Pool          // of *compiledWorkspace
+	// edges maps (from, to) chain indices to the CSR slot that
+	// SetProbability refreshes; nil for an anonymous chain.
+	edges map[[2]int]edgeRef
+	pool  sync.Pool // of *compiledWorkspace
 }
 
 // compiledWorkspace holds per-analysis scratch: everything that does not
@@ -108,8 +112,8 @@ func resize(dst []float64, n int) []float64 {
 
 // Compile freezes the chain into its solver-ready absorbing form. The chain
 // must have at least one state and at least one absorbing state; row-sum
-// validation is deferred to Analyze (mirroring AnalyzeAbsorbing's per-call
-// Validate), so probabilities can be refreshed between analyses.
+// validation is deferred to Analyze, so probabilities can be refreshed
+// between analyses.
 func (c *Chain) Compile() (*Compiled, error) {
 	rows := make([][]Arc, len(c.prob))
 	for i, row := range c.prob {
@@ -132,20 +136,21 @@ func compile(names []string, rows [][]Arc) (*Compiled, error) {
 	}
 	cc := &Compiled{
 		names: append([]string(nil), names...),
-		index: make(map[string]int, len(names)),
-		posT:  make(map[int]int),
-		posA:  make(map[int]int),
-		edges: make(map[[2]int]edgeRef),
+		pos:   make([]int, n),
 	}
-	for i, name := range cc.names {
-		cc.index[name] = i
+	if names != nil {
+		cc.index = make(map[string]int, len(names))
+		for i, name := range names {
+			cc.index[name] = i
+		}
+		cc.edges = make(map[[2]int]edgeRef)
 	}
 	for i, row := range rows {
 		if len(row) == 0 {
-			cc.posA[i] = len(cc.absorbing)
+			cc.pos[i] = ^len(cc.absorbing)
 			cc.absorbing = append(cc.absorbing, i)
 		} else {
-			cc.posT[i] = len(cc.transient)
+			cc.pos[i] = len(cc.transient)
 			cc.transient = append(cc.transient, i)
 		}
 	}
@@ -159,14 +164,18 @@ func compile(names []string, rows [][]Arc) (*Compiled, error) {
 		cc.qRowPtr[r] = len(cc.qCol)
 		cc.rRowPtr[r] = len(cc.rCol)
 		for _, a := range rows[i] {
-			if col, ok := cc.posT[a.To]; ok {
-				cc.edges[[2]int{i, a.To}] = edgeRef{inQ: true, idx: len(cc.qCol)}
-				cc.qCol = append(cc.qCol, col)
+			ref := edgeRef{inQ: cc.pos[a.To] >= 0}
+			if ref.inQ {
+				ref.idx = len(cc.qCol)
+				cc.qCol = append(cc.qCol, cc.pos[a.To])
 				cc.qVal = append(cc.qVal, a.P)
 			} else {
-				cc.edges[[2]int{i, a.To}] = edgeRef{inQ: false, idx: len(cc.rCol)}
-				cc.rCol = append(cc.rCol, cc.posA[a.To])
+				ref.idx = len(cc.rCol)
+				cc.rCol = append(cc.rCol, ^cc.pos[a.To])
 				cc.rVal = append(cc.rVal, a.P)
+			}
+			if cc.edges != nil {
+				cc.edges[[2]int{i, a.To}] = ref
 			}
 		}
 	}
@@ -278,7 +287,7 @@ func (cc *Compiled) AnalyzeInto(prev *CompiledAnalysis) (*CompiledAnalysis, erro
 		ws.col = make([]float64, t)
 	}
 
-	// I − Q exactly as the generic path builds it: identity, then one
+	// I − Q exactly as the reference path builds it: identity, then one
 	// subtraction per stored Q entry (each cell is touched at most once, so
 	// assembly order cannot change the bits).
 	iq := ws.iq
@@ -383,8 +392,8 @@ func (a *CompiledAnalysis) transientRow(start string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownState, start)
 	}
-	row, ok := a.cc.posT[i]
-	if !ok {
+	row := a.cc.pos[i]
+	if row < 0 {
 		return 0, fmt.Errorf("dtmc: state %q is absorbing, not transient", start)
 	}
 	return row, nil
@@ -447,9 +456,10 @@ func (a *CompiledAnalysis) AbsorptionProbabilities(start string) (map[string]flo
 	}
 	nA := len(a.cc.absorbing)
 	out := make(map[string]float64, nA)
-	if col, ok := a.cc.posA[i]; ok {
+	row := a.cc.pos[i]
+	if row < 0 {
 		for k, j := range a.cc.absorbing {
-			if k == col {
+			if k == ^row {
 				out[a.cc.names[j]] = 1
 			} else {
 				out[a.cc.names[j]] = 0
@@ -457,7 +467,6 @@ func (a *CompiledAnalysis) AbsorptionProbabilities(start string) (map[string]flo
 		}
 		return out, nil
 	}
-	row := a.cc.posT[i]
 	for col, j := range a.cc.absorbing {
 		out[a.cc.names[j]] = a.absorb[row*nA+col]
 	}
@@ -476,9 +485,10 @@ func (a *CompiledAnalysis) AbsorptionProbabilitiesInto(dst []float64, start stri
 	}
 	nA := len(a.cc.absorbing)
 	dst = resize(dst, nA)
-	if col, ok := a.cc.posA[i]; ok {
+	row := a.cc.pos[i]
+	if row < 0 {
 		for k := range dst {
-			if k == col {
+			if k == ^row {
 				dst[k] = 1
 			} else {
 				dst[k] = 0
@@ -486,7 +496,6 @@ func (a *CompiledAnalysis) AbsorptionProbabilitiesInto(dst []float64, start stri
 		}
 		return dst, nil
 	}
-	row := a.cc.posT[i]
 	copy(dst, a.absorb[row*nA:(row+1)*nA])
 	return dst, nil
 }

@@ -3,6 +3,11 @@
 // absorbing-chain analysis (fundamental matrix, expected visit counts, and
 // absorption probabilities).
 //
+// Chain builds a chain by name; Compile freezes it into the solver-ready
+// form, and every absorbing analysis runs on that compiled kernel. The
+// generic map-based absorbing solver lives on only in the package's tests,
+// as the reference the compiled kernel is checked against bit for bit.
+//
 // The travel-agency study uses absorbing DTMCs twice: the user operational
 // profile (Start → functions → Exit, Figure 2 of the paper) and the
 // per-function interaction diagrams (Begin → servers → End, Figures 3–6).

@@ -48,9 +48,10 @@ type cnode struct {
 // shared-event factoring set, minimal cut sets, and a flattened post-order
 // evaluation program are computed once per structure, so TopEventProbability
 // becomes an allocation-free stack-machine pass that is bit-identical to the
-// recursive evaluator. Basic-event probabilities stay live — mutate them
-// with BasicEvent.SetProbability between evaluations; structure (gates,
-// children, which events repeat) is frozen at Compile.
+// recursive reference evaluator in the package's tests. Basic-event
+// probabilities stay live — mutate them with BasicEvent.SetProbability
+// between evaluations; structure (gates, children, which events repeat) is
+// frozen at Compile.
 //
 // A Compiled tree is NOT safe for concurrent use: evaluation temporarily
 // rewrites shared-event probabilities during Shannon factoring and reuses
@@ -65,8 +66,8 @@ type Compiled struct {
 }
 
 // Compile freezes a fault tree's structure. It fails if the tree has more
-// repeated basic events than Shannon factoring supports, exactly when
-// TopEventProbability would.
+// than 20 repeated basic events, the most that Shannon factoring over their
+// 2^d joint states supports.
 func Compile(root Node) (*Compiled, error) {
 	kernelCounters.compiles.Add(1)
 	all := root.events(nil)
@@ -118,9 +119,11 @@ func (c *Compiled) emit(n Node) {
 // Root returns the tree the program was compiled from.
 func (c *Compiled) Root() Node { return c.root }
 
-// evalProg runs the post-order program once, reproducing the recursive
-// evaluator's arithmetic: children are combined in declaration order with the
-// same expressions, so the result is bit-identical to root.eval().
+// evalProg runs the post-order program once, evaluating the tree under the
+// assumption that each basic event appears at most once: children are
+// combined in declaration order — AND as a product, OR as one minus the
+// product of complements, k-of-n by a DP over the number of failed
+// children.
 //
 //ta:hotpath
 func (c *Compiled) evalProg() float64 {
@@ -169,10 +172,12 @@ func (c *Compiled) evalProg() float64 {
 	return stack[0]
 }
 
-// TopEventProbability evaluates the top event over the frozen structure,
-// allocation-free and bit-identical to the package-level
-// TopEventProbability. Repeated events use the same Shannon decomposition,
-// reading each event's current probability.
+// TopEventProbability evaluates the probability of the tree's top event over
+// the frozen structure, allocation-free, reading each basic event's current
+// probability. Basic events appearing multiple times in the tree (shared
+// failure causes) are handled exactly by Shannon decomposition; the cost is
+// O(2^d) in the number d of repeated events, and every event's probability
+// is restored afterwards.
 //
 //ta:hotpath
 func (c *Compiled) TopEventProbability() float64 {

@@ -16,14 +16,14 @@ func ExampleMinimalCutSets() {
 		ws,
 		faulttree.AND("flights-all-fail", flight1, flight2),
 	)
-	for _, cs := range faulttree.MinimalCutSets(top) {
-		fmt.Println(cs)
-	}
-	p, err := faulttree.TopEventProbability(top)
+	cc, err := faulttree.Compile(top)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("P(top) = %.6f\n", p)
+	for _, cs := range cc.MinimalCutSets() {
+		fmt.Println(cs)
+	}
+	fmt.Printf("P(top) = %.6f\n", cc.TopEventProbability())
 	// Output:
 	// [web]
 	// [flight-1 flight-2]

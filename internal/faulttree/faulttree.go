@@ -3,6 +3,9 @@
 // under repeated basic events via factoring), minimal cut-set extraction
 // (MOCUS-style expansion with minimization), and Birnbaum importance.
 //
+// AND, OR, AtLeast and NewBasicEvent build a tree; Compile freezes it, and
+// every top-event probability is evaluated through the compiled program.
+//
 // The paper's framework lists fault trees among the techniques usable per
 // level ("fault trees, reliability block diagrams, Markov chains..."); this
 // package provides them as the dual of package rbd: a fault tree models
@@ -27,9 +30,6 @@ type Node interface {
 	Label() string
 	// events appends all basic events below the node (with repetition).
 	events(out []*BasicEvent) []*BasicEvent
-	// eval computes the node's failure probability assuming basic events
-	// are independent AND each appears at most once below the node.
-	eval() float64
 	// cutSets returns the node's cut sets as sets of basic events.
 	cutSets() []eventSet
 }
@@ -73,7 +73,6 @@ func (e *BasicEvent) SetProbability(p float64) error {
 }
 
 func (e *BasicEvent) events(out []*BasicEvent) []*BasicEvent { return append(out, e) }
-func (e *BasicEvent) eval() float64                          { return e.prob }
 func (e *BasicEvent) cutSets() []eventSet                    { return []eventSet{{e: struct{}{}}} }
 
 type gateKind int
@@ -126,92 +125,6 @@ func (g *gate) events(out []*BasicEvent) []*BasicEvent {
 		out = c.events(out)
 	}
 	return out
-}
-
-func (g *gate) eval() float64 {
-	switch g.kind {
-	case gateAND:
-		p := 1.0
-		for _, c := range g.children {
-			p *= c.eval()
-		}
-		return p
-	case gateOR:
-		q := 1.0
-		for _, c := range g.children {
-			q *= 1 - c.eval()
-		}
-		return 1 - q
-	default: // k-of-n via DP on the number of failed children
-		n := len(g.children)
-		dp := make([]float64, n+1)
-		dp[0] = 1
-		for i, c := range g.children {
-			p := c.eval()
-			for j := i + 1; j >= 1; j-- {
-				dp[j] = dp[j]*(1-p) + dp[j-1]*p
-			}
-			dp[0] *= 1 - p
-		}
-		var s float64
-		for j := g.k; j <= n; j++ {
-			s += dp[j]
-		}
-		return s
-	}
-}
-
-// TopEventProbability evaluates the probability of the tree's top event.
-// Basic events appearing multiple times in the tree (shared failure causes)
-// are handled exactly by Shannon decomposition; the cost is O(2^d) in the
-// number d of repeated events, capped at 20.
-func TopEventProbability(root Node) (float64, error) {
-	all := root.events(nil)
-	count := make(map[*BasicEvent]int, len(all))
-	for _, e := range all {
-		count[e]++
-	}
-	var shared []*BasicEvent
-	for _, e := range all {
-		if count[e] > 1 {
-			shared = append(shared, e)
-			count[e] = 0
-		}
-	}
-	const maxShared = 20
-	if len(shared) > maxShared {
-		return 0, fmt.Errorf("faulttree: %d repeated events exceed factoring limit %d", len(shared), maxShared)
-	}
-	if len(shared) == 0 {
-		return root.eval(), nil
-	}
-	orig := make([]float64, len(shared))
-	for i, e := range shared {
-		orig[i] = e.prob
-	}
-	defer func() {
-		for i, e := range shared {
-			e.prob = orig[i]
-		}
-	}()
-	var total float64
-	for mask := 0; mask < 1<<len(shared); mask++ {
-		w := 1.0
-		for i, e := range shared {
-			if mask&(1<<i) != 0 {
-				e.prob = 1
-				w *= orig[i]
-			} else {
-				e.prob = 0
-				w *= 1 - orig[i]
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		total += w * root.eval()
-	}
-	return total, nil
 }
 
 // eventSet is a set of basic events forming one cut set.
@@ -345,8 +258,13 @@ type Importance struct {
 }
 
 // BirnbaumImportance computes the Birnbaum importance of every distinct
-// basic event, sorted descending.
+// basic event, sorted descending. The tree is compiled once, and each event
+// is evaluated failed and working through the compiled program.
 func BirnbaumImportance(root Node) ([]Importance, error) {
+	cc, err := Compile(root)
+	if err != nil {
+		return nil, err
+	}
 	all := root.events(nil)
 	seen := make(map[*BasicEvent]bool, len(all))
 	var unique []*BasicEvent
@@ -360,17 +278,10 @@ func BirnbaumImportance(root Node) ([]Importance, error) {
 	for _, e := range unique {
 		orig := e.prob
 		e.prob = 1
-		hi, err := TopEventProbability(root)
-		if err != nil {
-			e.prob = orig
-			return nil, err
-		}
+		hi := cc.TopEventProbability()
 		e.prob = 0
-		lo, err := TopEventProbability(root)
+		lo := cc.TopEventProbability()
 		e.prob = orig
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, Importance{Event: e.label, Birnbaum: hi - lo})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -2,7 +2,6 @@ package gspn
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ctmc"
 )
@@ -10,10 +9,8 @@ import (
 // Analysis holds the results of reachability + steady-state analysis over
 // the tangible markings of a net.
 type Analysis struct {
-	net      *Net
-	chain    *ctmc.Chain
-	markings map[string]Marking // key → tangible marking
-	steady   ctmc.Distribution
+	frozen *Frozen
+	pi     []float64 // steady-state probabilities in frozen.keys order
 }
 
 // maxVanishingDepth bounds chains of immediate firings from one marking; a
@@ -28,8 +25,7 @@ const maxVanishingDepth = 64
 // The reachability graph is cached on the net (see Freeze): after the first
 // call, rate-only perturbations (SetTimedRate, SetTimedRateFunc,
 // SetImmediateWeight) re-solve the embedded compiled CTMC without
-// re-exploring state space. Results are bit-identical to the uncached
-// ToCTMC + SteadyState path.
+// re-exploring state space.
 func (n *Net) Analyze(maxMarkings int) (*Analysis, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -38,73 +34,6 @@ func (n *Net) Analyze(maxMarkings int) (*Analysis, error) {
 		return nil, err
 	}
 	return f.solveLocked()
-}
-
-// ToCTMC builds the tangible-marking CTMC without solving it. The returned
-// map links CTMC state names to markings.
-func (n *Net) ToCTMC(maxMarkings int) (*ctmc.Chain, map[string]Marking, error) {
-	if maxMarkings < 1 {
-		maxMarkings = 100000
-	}
-	if len(n.places) == 0 {
-		return nil, nil, fmt.Errorf("%w: no places", ErrNet)
-	}
-	if len(n.transitions) == 0 {
-		return nil, nil, fmt.Errorf("%w: no transitions", ErrNet)
-	}
-
-	initial := n.InitialMarking()
-	// Resolve the initial marking to tangible ones (it may be vanishing).
-	initialTangible, err := n.resolveVanishing(initial, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	chain := ctmc.New()
-	tangible := make(map[string]Marking)
-	var queue []Marking
-	enqueue := func(m Marking) {
-		key := m.Key(n.places)
-		if _, seen := tangible[key]; !seen {
-			tangible[key] = m
-			chain.AddState(key)
-			queue = append(queue, m)
-		}
-	}
-	for _, tm := range initialTangible {
-		enqueue(tm.marking)
-	}
-
-	for len(queue) > 0 {
-		if len(tangible) > maxMarkings {
-			return nil, nil, fmt.Errorf("%w: more than %d tangible markings", ErrAnalysis, maxMarkings)
-		}
-		m := queue[0]
-		queue = queue[1:]
-		key := m.Key(n.places)
-		for _, t := range n.timedEnabled(m) {
-			rate := t.rate(m)
-			if rate <= 0 {
-				return nil, nil, fmt.Errorf("%w: transition %q enabled with rate %v in marking %s", ErrAnalysis, t.name, rate, key)
-			}
-			next := t.fire(m)
-			targets, err := n.resolveVanishing(next, 0)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, tm := range targets {
-				enqueue(tm.marking)
-				toKey := tm.marking.Key(n.places)
-				if toKey == key {
-					continue // self-loop through vanishing chain: no effect on CTMC
-				}
-				if err := chain.AddTransition(key, toKey, rate*tm.prob); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	return chain, tangible, nil
 }
 
 // timedEnabled returns the timed transitions enabled in m, in declaration
@@ -130,115 +59,59 @@ func (n *Net) immediateEnabled(m Marking) []*transition {
 	return out
 }
 
-// tangibleTarget is one tangible marking reached from a (possibly
-// vanishing) marking, with the probability of reaching it through the
-// immediate firings.
-type tangibleTarget struct {
-	marking Marking
-	prob    float64
-}
-
-// resolveVanishing follows chains of immediate firings until tangible
-// markings are reached, accumulating branch probabilities.
-func (n *Net) resolveVanishing(m Marking, depth int) ([]tangibleTarget, error) {
-	imm := n.immediateEnabled(m)
-	if len(imm) == 0 {
-		return []tangibleTarget{{marking: m, prob: 1}}, nil
-	}
-	if depth >= maxVanishingDepth {
-		return nil, fmt.Errorf("%w: vanishing chain deeper than %d (immediate-transition loop?)", ErrAnalysis, maxVanishingDepth)
-	}
-	var totalWeight float64
-	for _, t := range imm {
-		totalWeight += t.weight
-	}
-	// Accumulate by key so duplicate targets merge.
-	acc := make(map[string]tangibleTarget)
-	for _, t := range imm {
-		branch := t.weight / totalWeight
-		sub, err := n.resolveVanishing(t.fire(m), depth+1)
-		if err != nil {
-			return nil, err
-		}
-		for _, tm := range sub {
-			key := tm.marking.Key(n.places)
-			cur := acc[key]
-			cur.marking = tm.marking
-			cur.prob += branch * tm.prob
-			acc[key] = cur
-		}
-	}
-	out := make([]tangibleTarget, 0, len(acc))
-	keys := make([]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, acc[k])
-	}
-	return out, nil
-}
-
 // NumMarkings returns the number of tangible markings explored.
-func (a *Analysis) NumMarkings() int { return len(a.markings) }
+func (a *Analysis) NumMarkings() int { return len(a.pi) }
 
-// Chain returns the underlying tangible-marking CTMC.
-func (a *Analysis) Chain() *ctmc.Chain { return a.chain }
+// Chain returns the underlying compiled tangible-marking CTMC, whose states
+// are the marking keys.
+func (a *Analysis) Chain() *ctmc.Compiled { return a.frozen.cc }
 
 // StateProbability returns the steady-state probability of one tangible
 // marking, addressed by CTMC state key.
 func (a *Analysis) StateProbability(key string) float64 {
-	return a.steady.Probability(key)
+	if i, ok := a.frozen.stateOf[key]; ok {
+		return a.pi[i]
+	}
+	return 0
 }
 
 // TokenProbability returns P(place holds exactly k tokens) at steady state.
 func (a *Analysis) TokenProbability(place string, k int) (float64, error) {
-	if _, ok := a.net.placeSet[place]; !ok {
+	if _, ok := a.frozen.net.placeSet[place]; !ok {
 		return 0, fmt.Errorf("%w: unknown place %q", ErrNet, place)
 	}
-	var p float64
-	for key, m := range a.markings {
-		if m[place] == k {
-			p += a.steady.Probability(key)
-		}
-	}
-	return p, nil
+	return a.Probability(func(m Marking) bool { return m[place] == k }), nil
 }
 
 // ProbAtLeast returns P(place holds ≥ k tokens) at steady state.
 func (a *Analysis) ProbAtLeast(place string, k int) (float64, error) {
-	if _, ok := a.net.placeSet[place]; !ok {
+	if _, ok := a.frozen.net.placeSet[place]; !ok {
 		return 0, fmt.Errorf("%w: unknown place %q", ErrNet, place)
 	}
-	var p float64
-	for key, m := range a.markings {
-		if m[place] >= k {
-			p += a.steady.Probability(key)
-		}
-	}
-	return p, nil
+	return a.Probability(func(m Marking) bool { return m[place] >= k }), nil
 }
 
-// ExpectedTokens returns E[tokens in place] at steady state.
+// ExpectedTokens returns E[tokens in place] at steady state, summed over the
+// tangible markings in exploration order.
 func (a *Analysis) ExpectedTokens(place string) (float64, error) {
-	if _, ok := a.net.placeSet[place]; !ok {
+	if _, ok := a.frozen.net.placeSet[place]; !ok {
 		return 0, fmt.Errorf("%w: unknown place %q", ErrNet, place)
 	}
 	var e float64
-	for key, m := range a.markings {
-		e += float64(m[place]) * a.steady.Probability(key)
+	for i, m := range a.frozen.marks {
+		e += float64(m[place]) * a.pi[i]
 	}
 	return e, nil
 }
 
 // Probability returns the steady-state probability of the markings selected
-// by keep.
+// by keep, summed over the tangible markings in exploration order so that
+// repeated solves give the same bits.
 func (a *Analysis) Probability(keep func(Marking) bool) float64 {
 	var p float64
-	for key, m := range a.markings {
+	for i, m := range a.frozen.marks {
 		if keep(m) {
-			p += a.steady.Probability(key)
+			p += a.pi[i]
 		}
 	}
 	return p

@@ -41,15 +41,15 @@ func ReadKernelStats() KernelStats {
 	}
 }
 
-// vnode is one node of a frozen vanishing-resolution tree: the structure of
-// resolveVanishing's recursion with every marking key precomputed, so a
-// re-solve recomputes only the branch probabilities (which depend on
+// vnode is one node of a frozen vanishing-resolution tree: the chains of
+// immediate firings from one marking, with every marking key precomputed, so
+// a re-solve recomputes only the branch probabilities (which depend on
 // immediate-transition weights) without cloning markings or rebuilding keys.
 //
-// replay reproduces resolveVanishing's arithmetic exactly: the same weight
-// sums, the same branch divisions, and the same accumulation order over
-// key-sorted child targets, so replayed probabilities are bit-identical to a
-// fresh resolution.
+// replay weighs each enabled immediate by its share of the total weight and
+// accumulates over key-sorted child targets, so replayed probabilities are
+// bit-identical to a fresh recursive resolution (resolveVanishing in
+// reference_test.go).
 type vnode struct {
 	keys  []string  // sorted tangible-target keys of this subtree
 	marks []Marking // aligned with keys (used only while freezing)
@@ -84,8 +84,8 @@ func (v *vnode) replay() {
 	}
 }
 
-// freezeVanishing builds the vanishing-resolution tree for m, following the
-// same recursion (and producing the same errors) as resolveVanishing.
+// freezeVanishing builds the vanishing-resolution tree for m, failing on a
+// chain of immediate firings deeper than maxVanishingDepth.
 func (n *Net) freezeVanishing(m Marking, depth int) (*vnode, error) {
 	imm := n.immediateEnabled(m)
 	if len(imm) == 0 {
@@ -146,8 +146,7 @@ type frozenEdge struct {
 }
 
 // Frozen is a net's cached reachability graph: the tangible markings, the
-// embedded tangible-marking CTMC in both generic (skeleton) and compiled
-// form, and the replay structures needed to recompute every transition rate
+// embedded compiled tangible-marking CTMC, and the replay structures needed to recompute every transition rate
 // from the net's current rate functions and weights. Structure is keyed on
 // the net's places, transitions, and arcs: structural mutations invalidate
 // the cache, while SetTimedRate/SetTimedRateFunc/SetImmediateWeight do not —
@@ -158,24 +157,22 @@ type frozenEdge struct {
 // is safe for concurrent use.
 type Frozen struct {
 	net      *Net
-	keys     []string // tangible-marking keys in chain declaration order
+	keys     []string  // tangible-marking keys in chain declaration order
+	marks    []Marking // tangible markings aligned with keys
 	stateOf  map[string]int
-	markings map[string]Marking
-	chain    *ctmc.Chain
 	cc       *ctmc.Compiled
 	edges    []frozenEdge
 	slotVal  []float64 // accumulated rate per distinct (from, to) pair
 	slotFrom []int
 	slotTo   []int
-	pi       []float64 // steady-state buffer reused across solves
 }
 
 // NumMarkings returns the number of tangible markings in the frozen graph.
 func (f *Frozen) NumMarkings() int { return len(f.keys) }
 
-// buildFrozen explores the reachability graph exactly as ToCTMC does —
-// identical BFS order, identical vanishing resolution, identical errors —
-// while recording the replay structures.
+// buildFrozen explores the reachability graph breadth-first from the
+// initial marking, resolving vanishing markings through frozen trees and
+// recording the replay structures.
 func (n *Net) buildFrozen(maxMarkings int) (*Frozen, error) {
 	if maxMarkings < 1 {
 		maxMarkings = 100000
@@ -190,18 +187,14 @@ func (n *Net) buildFrozen(maxMarkings int) (*Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Frozen{
-		net:      n,
-		stateOf:  make(map[string]int),
-		markings: make(map[string]Marking),
-	}
+	f := &Frozen{net: n, stateOf: make(map[string]int)}
 	chain := ctmc.New()
 	var queue []Marking
 	enqueue := func(key string, m Marking) {
-		if _, seen := f.markings[key]; !seen {
-			f.markings[key] = m
+		if _, seen := f.stateOf[key]; !seen {
 			f.stateOf[key] = len(f.keys)
 			f.keys = append(f.keys, key)
+			f.marks = append(f.marks, m)
 			chain.AddState(key)
 			queue = append(queue, m)
 		}
@@ -211,7 +204,7 @@ func (n *Net) buildFrozen(maxMarkings int) (*Frozen, error) {
 	}
 	slotOf := make(map[[2]int]int)
 	for len(queue) > 0 {
-		if len(f.markings) > maxMarkings {
+		if len(f.keys) > maxMarkings {
 			return nil, fmt.Errorf("%w: more than %d tangible markings", ErrAnalysis, maxMarkings)
 		}
 		m := queue[0]
@@ -252,7 +245,6 @@ func (n *Net) buildFrozen(maxMarkings int) (*Frozen, error) {
 			f.edges = append(f.edges, edge)
 		}
 	}
-	f.chain = chain
 	cc, err := chain.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("%w: compile: %v", ErrAnalysis, err)
@@ -293,8 +285,7 @@ func (n *Net) freezeLocked(maxMarkings int) (*Frozen, error) {
 // from the net's current rate functions and weights, refreshes the embedded
 // compiled CTMC, and solves it for steady state. Results are bit-identical
 // to a fresh Net.Analyze of the same net: the rate accumulation replays the
-// exact AddTransition order of reachability exploration, and the compiled
-// GTH kernel is bit-identical to the generic steady-state solver.
+// exact AddTransition order of reachability exploration.
 func (f *Frozen) Solve() (*Analysis, error) {
 	f.net.mu.Lock()
 	defer f.net.mu.Unlock()
@@ -302,8 +293,8 @@ func (f *Frozen) Solve() (*Analysis, error) {
 }
 
 // solveLocked refreshes the frozen edges and solves the embedded compiled
-// chain; apart from the returned Analysis header everything runs in
-// preallocated frozen storage.
+// chain; apart from the returned Analysis and its steady-state vector
+// everything runs in preallocated frozen storage.
 //
 //ta:hotpath
 func (f *Frozen) solveLocked() (*Analysis, error) {
@@ -327,18 +318,15 @@ func (f *Frozen) solveLocked() (*Analysis, error) {
 	}
 	for s, v := range f.slotVal {
 		from, to := f.keys[f.slotFrom[s]], f.keys[f.slotTo[s]]
-		if err := f.chain.SetRate(from, to, v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrAnalysis, err)
-		}
 		if err := f.cc.SetRate(from, to, v); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrAnalysis, err)
 		}
 	}
-	pi, err := f.cc.SteadyStateInto(f.pi)
+	// A fresh vector per solve: the Analysis keeps it after the next solve.
+	pi, err := f.cc.SteadyStateInto(nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: steady state: %v", ErrAnalysis, err)
 	}
-	f.pi = pi
 	//lint:ignore hotpathalloc one Analysis header per solve; the solve itself reuses frozen storage
-	return &Analysis{net: f.net, chain: f.chain, markings: f.markings, steady: f.cc.Distribution(pi)}, nil
+	return &Analysis{frozen: f, pi: pi}, nil
 }

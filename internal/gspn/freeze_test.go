@@ -39,14 +39,18 @@ func figure10Net(t testing.TB, servers int, lambda, mu, c, beta float64) *Net {
 	return n
 }
 
-// genericSteady runs the uncached ToCTMC + generic SteadyState path.
+// genericSteady runs the uncached ToCTMC reference and solves its chain.
 func genericSteady(t *testing.T, n *Net) map[string]float64 {
 	t.Helper()
 	chain, _, err := n.ToCTMC(0)
 	if err != nil {
 		t.Fatalf("ToCTMC: %v", err)
 	}
-	steady, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	steady, err := cc.SteadyState()
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}

@@ -84,13 +84,17 @@ func pickTransition(timed, imm []string, arg byte) string {
 	return pool[int(arg)%len(pool)]
 }
 
-// genericSolve runs the uncached ToCTMC + generic SteadyState reference.
+// genericSolve runs the uncached ToCTMC reference and solves its chain.
 func genericSolve(n *Net) (map[string]float64, error) {
 	chain, _, err := n.ToCTMC(fuzzNetLimit)
 	if err != nil {
 		return nil, err
 	}
-	steady, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		return nil, err
+	}
+	steady, err := cc.SteadyState()
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +106,7 @@ func genericSolve(n *Net) (map[string]float64, error) {
 }
 
 // FuzzFrozenGSPN cross-checks the frozen Analyze path against the generic
-// ToCTMC + SteadyState solver on random nets, tolerance 0: state
+// ToCTMC reachability reference on random nets, tolerance 0: state
 // probabilities must be bit-identical and errors must agree in presence.
 // It then perturbs every rate and weight through the Set* mutators and
 // checks the frozen re-solve against a from-scratch build with the same

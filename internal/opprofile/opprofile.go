@@ -221,7 +221,11 @@ func (p *Profile) ExpectedInvocations() (map[string]float64, error) {
 			}
 		}
 	}
-	analysis, err := chain.AnalyzeAbsorbing()
+	cc, err := chain.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("opprofile: invocation analysis: %w", err)
+	}
+	analysis, err := cc.Analyze()
 	if err != nil {
 		return nil, fmt.Errorf("opprofile: invocation analysis: %w", err)
 	}

@@ -87,7 +87,11 @@ func (m ErlangRepair) StateProbabilities() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		return nil, err
+	}
+	dist, err := cc.SteadyState()
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,11 @@ func (m DeferredRepair) StateProbabilities() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		return nil, err
+	}
+	dist, err := cc.SteadyState()
 	if err != nil {
 		return nil, err
 	}

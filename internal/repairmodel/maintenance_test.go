@@ -50,7 +50,11 @@ func TestDedicatedRepairMatchesCTMC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToCTMC: %v", err)
 	}
-	dist, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	dist, err := cc.SteadyState()
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}

@@ -18,7 +18,7 @@
 // exactly — and matching the paper's own printed A(WS) = 0.999995587 for
 // N_W = 4 — shows the states exist for i = 1..N_W. This package uses the
 // derived range, and its closed forms are cross-validated in tests against
-// the generic CTMC solver on the Figure 10 chain.
+// the CTMC solver on the Figure 10 chain.
 //
 // All closed forms are evaluated in log space relative to the largest term,
 // so the enormous ratios µ/λ (10⁴ and beyond) used in the paper's sensitivity
@@ -72,7 +72,7 @@ func (m PerfectCoverage) StateProbabilities() ([]float64, error) {
 	return normalizeLogs(logs), nil
 }
 
-// ToCTMC builds the Figure 9 chain for cross-validation with the generic
+// ToCTMC builds the Figure 9 chain for cross-validation with the CTMC
 // solver. States are named "0".."N".
 func (m PerfectCoverage) ToCTMC() (*ctmc.Chain, error) {
 	if err := m.check(); err != nil {

@@ -83,7 +83,11 @@ func TestPerfectCoverageMatchesCTMC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToCTMC: %v", err)
 	}
-	dist, err := chain.SteadyState()
+	cc, err := chain.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	dist, err := cc.SteadyState()
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
@@ -149,7 +153,11 @@ func TestImperfectCoverageMatchesCTMC(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ToCTMC: %v", err)
 		}
-		dist, err := chain.SteadyState()
+		cc, err := chain.Compile()
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		dist, err := cc.SteadyState()
 		if err != nil {
 			t.Fatalf("SteadyState: %v", err)
 		}

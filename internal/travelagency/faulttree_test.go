@@ -19,10 +19,11 @@ func TestFunctionFailureTreeMatchesAvailability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FunctionFailureTree(%s): %v", fn, err)
 		}
-		top, err := faulttree.TopEventProbability(tree)
+		cc, err := faulttree.Compile(tree)
 		if err != nil {
-			t.Fatalf("TopEventProbability(%s): %v", fn, err)
+			t.Fatalf("Compile(%s): %v", fn, err)
 		}
+		top := cc.TopEventProbability()
 		want := 1 - closed[fn]
 		if relDiff(top, want) > 1e-9 {
 			t.Errorf("%s: P(top) = %v, want 1−A = %v", fn, top, want)

@@ -110,3 +110,34 @@ func TestWebFarmNetStateSpace(t *testing.T) {
 		t.Errorf("tangible markings = %d, want %d", got, want)
 	}
 }
+
+// TestGSPNSumsDeterministic solves the same web-farm net 200 times and
+// requires one bit pattern for a multi-marking probability and an expected
+// token count: the analysis must sum markings in a fixed order.
+func TestGSPNSumsDeterministic(t *testing.T) {
+	p := DefaultParams()
+	p.WebServers = 6
+	p.Coverage = 0.98
+	p.WebFailureRate = 1e-3
+	net, err := WebFarmNet(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probBits := map[uint64]bool{}
+	tokenBits := map[uint64]bool{}
+	for i := 0; i < 200; i++ {
+		a, err := net.Analyze(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probBits[math.Float64bits(a.Probability(func(m gspn.Marking) bool { return m["up"] >= 1 }))] = true
+		e, err := a.ExpectedTokens("up")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokenBits[math.Float64bits(e)] = true
+	}
+	if len(probBits) != 1 || len(tokenBits) != 1 {
+		t.Errorf("200 solves gave %d bit patterns for P(up ≥ 1) and %d for E[up], want 1 each", len(probBits), len(tokenBits))
+	}
+}
