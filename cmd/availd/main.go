@@ -9,7 +9,6 @@
 //	availd                              # serve on 127.0.0.1:9470
 //	availd -addr :9470 -store s.json    # persist scenarios across restarts
 //	availd -workers 8 -queue 32         # bigger sweep pool and job queue
-//	availd -selftest                    # concurrent API self-test, then exit
 //
 // Endpoints (all under /api/v1):
 //
@@ -56,14 +55,8 @@ func run(args []string, w io.Writer) error {
 	queue := fs.Int("queue", 16, "async job queue capacity (full queue sheds with 429)")
 	memoLimit := fs.Int("memo-limit", 4096, "evaluation cache entry cap (-1 = unbounded)")
 	traceCap := fs.Int("trace-cap", 512, "request spans retained for /traces")
-	selftest := fs.Bool("selftest", false, "run the concurrent API self-test and exit")
-	selftestRequests := fs.Int("selftest-requests", 240, "self-test concurrent evaluation requests")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *selftest {
-		return availd.SelfTest(w, availd.SelfTestOptions{Requests: *selftestRequests})
 	}
 
 	reg := obs.NewRegistry()

@@ -46,22 +46,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestSelfTest(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-selftest", "-selftest-requests", "64"}, &sb); err != nil {
-		t.Fatalf("selftest: %v\n%s", err, sb.String())
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"availd selftest ok", "64 concurrent requests bit-identical to serial",
-		"429 shedding exercised", "0 responses 5xx",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("selftest output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestServeAndShutdown boots the real server on an ephemeral port, drives a
 // round trip through the API, and exercises the signal-driven shutdown path.
 func TestServeAndShutdown(t *testing.T) {

@@ -90,11 +90,14 @@ type obsStack struct {
 // onServeStarted is a test hook invoked with the bound listen address.
 var onServeStarted func(addr string)
 
-// startObs brings up the observability endpoint — including the tracemine
-// /discovered and /modeldrift routes, wired against the travel-agency specs —
-// and prints where it listens.
+// startObs brings up the observability endpoint — including the kernel_*
+// series and the tracemine /discovered and /modeldrift routes, wired against
+// the travel-agency specs — and prints where it listens.
 func startObs(w io.Writer, addr string, ringCap int) (*obsStack, error) {
 	reg := obs.NewRegistry()
+	if err := obs.RegisterKernels(reg); err != nil {
+		return nil, err
+	}
 	tracer := obs.NewTracer(ringCap)
 	srv := obs.NewServer(reg, tracer)
 	p := travelagency.DefaultParams()

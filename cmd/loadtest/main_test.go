@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func runCapture(t *testing.T, args ...string) string {
@@ -197,6 +199,15 @@ func TestServeRun(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The kernel series are exactly the set every binary publishes.
+	for _, name := range obs.KernelSeries() {
+		if !strings.Contains(metrics, "\n"+name+" ") {
+			t.Errorf("/metrics missing %s", name)
+		}
+	}
+	if n := strings.Count(metrics, "# TYPE kernel_"); n != len(obs.KernelSeries()) {
+		t.Errorf("/metrics has %d kernel_* families, want %d", n, len(obs.KernelSeries()))
 	}
 	resp, err := http.Get("http://" + addr + "/traces")
 	if err != nil {

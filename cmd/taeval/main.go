@@ -18,13 +18,10 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 
-	"repro/internal/ctmc"
-	"repro/internal/dtmc"
-	"repro/internal/faulttree"
-	"repro/internal/gspn"
-	"repro/internal/report"
+	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
@@ -45,49 +42,25 @@ func sweepOptions() sweep.Options {
 	return sweep.Options{Workers: workerCount, Stats: sweepStats}
 }
 
-// printMetrics dumps the compiled-kernel counters and the last sweep's pool
-// utilization. The values depend on scheduling and workspace reuse, so this
-// output is diagnostic only and deliberately kept out of the golden files.
+// printMetrics prints the kernel_* series and the last sweep's pool
+// utilization as a Prometheus scrape. The values depend on scheduling and
+// workspace reuse, so this output is diagnostic only and deliberately kept
+// out of the golden files.
 func printMetrics(w io.Writer) error {
-	ks := ctmc.ReadKernelStats()
-	t := report.NewTable("Solver-kernel counters (cumulative, scheduling-dependent)",
-		"counter", "value")
-	t.MustAddRow("ctmc steady-state solves (GTH)", fmt.Sprintf("%d", ks.SteadySolves))
-	t.MustAddRow("ctmc steady-state solves (LU)", fmt.Sprintf("%d", ks.LUSolves))
-	t.MustAddRow("ctmc transient solves", fmt.Sprintf("%d", ks.TransientSolves))
-	t.MustAddRow("uniformization steps", fmt.Sprintf("%d", ks.UniformizationSteps))
-	t.MustAddRow("poisson-weight cache hits", fmt.Sprintf("%d", ks.PoissonCacheHits))
-	t.MustAddRow("poisson-weight cache misses", fmt.Sprintf("%d", ks.PoissonCacheMisses))
-	t.MustAddRow("ctmc compiled rate refreshes", fmt.Sprintf("%d", ks.RateRefreshes))
-	ds := dtmc.ReadKernelStats()
-	t.MustAddRow("dtmc compiles", fmt.Sprintf("%d", ds.Compiles))
-	t.MustAddRow("dtmc compiled analyses", fmt.Sprintf("%d", ds.Analyses))
-	t.MustAddRow("dtmc column solves", fmt.Sprintf("%d", ds.ColumnSolves))
-	t.MustAddRow("dtmc rate refreshes", fmt.Sprintf("%d", ds.Refreshes))
-	gs := gspn.ReadKernelStats()
-	t.MustAddRow("gspn reachability explorations", fmt.Sprintf("%d", gs.Freezes))
-	t.MustAddRow("gspn frozen-graph hits", fmt.Sprintf("%d", gs.FreezeHits))
-	t.MustAddRow("gspn frozen solves", fmt.Sprintf("%d", gs.Solves))
-	t.MustAddRow("gspn edge replays", fmt.Sprintf("%d", gs.EdgeReplays))
-	fs := faulttree.ReadKernelStats()
-	t.MustAddRow("fault-tree compiles", fmt.Sprintf("%d", fs.Compiles))
-	t.MustAddRow("fault-tree compiled evals", fmt.Sprintf("%d", fs.Evals))
-	t.MustAddRow("fault-tree cut-set queries", fmt.Sprintf("%d", fs.CutSetQueries))
-	if err := t.Render(w); err != nil {
+	reg := obs.NewRegistry()
+	if err := obs.RegisterKernels(reg); err != nil {
 		return err
 	}
-	if sweepStats == nil || sweepStats.Total() == 0 {
-		return nil
+	if sweepStats != nil && sweepStats.Total() > 0 {
+		reg.MustGauge("sweep_points", "points in the last grid run").Set(float64(sweepStats.Total()))
+		reg.MustGauge("sweep_completed", "points completed in the last grid run").Set(float64(sweepStats.Completed()))
+		reg.MustGauge("sweep_workers", "workers in the last grid run").Set(float64(sweepStats.Workers()))
+		for i := 0; i < sweepStats.Workers(); i++ {
+			reg.MustGauge("sweep_busy_seconds", "time each worker spent evaluating points in the last grid run",
+				obs.Label{Key: "worker", Value: strconv.Itoa(i)}).Set(sweepStats.BusyTime(i).Seconds())
+		}
 	}
-	st := report.NewTable("Sweep pool, last grid run", "metric", "value")
-	st.MustAddRow("points", fmt.Sprintf("%d", sweepStats.Total()))
-	st.MustAddRow("completed", fmt.Sprintf("%d", sweepStats.Completed()))
-	st.MustAddRow("workers", fmt.Sprintf("%d", sweepStats.Workers()))
-	st.MustAddRow("total busy", sweepStats.TotalBusy().String())
-	for i := 0; i < sweepStats.Workers(); i++ {
-		st.MustAddRow(fmt.Sprintf("  worker %d busy", i), sweepStats.BusyTime(i).String())
-	}
-	return st.Render(w)
+	return reg.WritePrometheus(w)
 }
 
 // experiment is one reproducible artifact.
@@ -149,7 +122,7 @@ func run(args []string, w io.Writer) error {
 		list    = fs.Bool("list", false, "list experiments and exit")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for grid experiments (≤0 = all cores)")
-		metrics = fs.Bool("metrics", false, "print solver-kernel and sweep-pool counters after the run (diagnostic, nondeterministic)")
+		metrics = fs.Bool("metrics", false, "print the kernel_* and sweep_* series as a Prometheus scrape after the run (diagnostic, nondeterministic)")
 	)
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func runCapture(t *testing.T, args ...string) string {
@@ -259,25 +261,36 @@ func TestMetricsFlag(t *testing.T) {
 	out := runCapture(t, "-experiment", "figure12", "-workers", "2", "-metrics")
 	for _, want := range []string{
 		"composer caches over the 90-cell grid: repair 60 hits / 30 misses, loss 465 hits / 30 misses",
-		"Solver-kernel counters",
-		"Sweep pool, last grid run",
-		"points           90",
-		"workers          2",
+		"\n# TYPE kernel_",
+		"\nsweep_points 90\n",
+		"\nsweep_completed 90\n",
+		"\nsweep_workers 2\n",
+		`sweep_busy_seconds{worker="1"} `,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-metrics output missing %q:\n%s", want, out)
 		}
 	}
+	// The kernel series are exactly the set every binary publishes.
+	for _, name := range obs.KernelSeries() {
+		if !strings.Contains(out, "\n"+name+" ") {
+			t.Errorf("-metrics output missing %s", name)
+		}
+	}
+	if n := strings.Count(out, "# TYPE kernel_"); n != len(obs.KernelSeries()) {
+		t.Errorf("-metrics output has %d kernel_* families, want %d", n, len(obs.KernelSeries()))
+	}
 
 	// Kernel counters are cumulative across the process (other tests may have
 	// already run compiled solves), so only assert the counter is nonzero.
 	out = runCapture(t, "-experiment", "validate-ws", "-metrics")
-	if strings.Contains(out, "ctmc steady-state solves (GTH)  0\n") {
+	if !strings.Contains(out, "\nkernel_ctmc_steady_solves_total ") ||
+		strings.Contains(out, "\nkernel_ctmc_steady_solves_total 0\n") {
 		t.Errorf("validate-ws left the GTH counter at zero:\n%s", out)
 	}
-	// Without -metrics the diagnostic tables stay out of the output.
+	// Without -metrics the diagnostic scrape stays out of the output.
 	out = runCapture(t, "-experiment", "figure12", "-workers", "2")
-	if strings.Contains(out, "Solver-kernel counters") || strings.Contains(out, "Sweep pool") {
+	if strings.Contains(out, "kernel_") || strings.Contains(out, "sweep_") {
 		t.Errorf("metrics printed without -metrics:\n%s", out)
 	}
 }

@@ -13,17 +13,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ctmc"
-	"repro/internal/dtmc"
-	"repro/internal/faulttree"
-	"repro/internal/gspn"
 	"repro/internal/modelspec"
 	"repro/internal/obs"
 )
 
 // Options configure a Server.
 type Options struct {
-	// Registry receives the availd_* metrics; nil creates a private one.
+	// Registry receives the availd_* and kernel_* metrics; nil creates a
+	// private one.
 	Registry *obs.Registry
 	// Tracer, when non-nil, records one span per API request.
 	Tracer *obs.Tracer
@@ -208,35 +205,9 @@ func (s *Server) registerMetrics() error {
 		func() float64 { return float64(s.jobs.Stats().Queued) }); err != nil {
 		return err
 	}
-	// Process-wide compiled-kernel counters, one per solver tier, so a
-	// scrape shows which kernels the figure/table batches actually hit.
-	kernel := []struct {
-		name, help string
-		fn         func() int64
-	}{
-		{"availd_kernel_ctmc_steady_solves_total", "ctmc steady-state solves (GTH)",
-			func() int64 { return ctmc.ReadKernelStats().SteadySolves }},
-		{"availd_kernel_ctmc_rate_refreshes_total", "rate-only refreshes applied to compiled CTMCs",
-			func() int64 { return ctmc.ReadKernelStats().RateRefreshes }},
-		{"availd_kernel_dtmc_compiles_total", "dtmc chain compiles",
-			func() int64 { return dtmc.ReadKernelStats().Compiles }},
-		{"availd_kernel_dtmc_analyses_total", "dtmc compiled absorbing analyses",
-			func() int64 { return dtmc.ReadKernelStats().Analyses }},
-		{"availd_kernel_gspn_freezes_total", "gspn reachability explorations",
-			func() int64 { return gspn.ReadKernelStats().Freezes }},
-		{"availd_kernel_gspn_freeze_hits_total", "gspn analyses served from a frozen reachability graph",
-			func() int64 { return gspn.ReadKernelStats().FreezeHits }},
-		{"availd_kernel_faulttree_compiles_total", "fault-tree compiles",
-			func() int64 { return faulttree.ReadKernelStats().Compiles }},
-		{"availd_kernel_faulttree_evals_total", "fault-tree compiled top-event evaluations",
-			func() int64 { return faulttree.ReadKernelStats().Evals }},
-	}
-	for _, k := range kernel {
-		if err := s.reg.CounterFunc(k.name, k.help, k.fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The process-wide kernel counters, so a scrape shows which solver
+	// tiers the figure/table batches actually hit.
+	return obs.RegisterKernels(s.reg)
 }
 
 // Register mounts the /api/v1 routes on mux. Call obs.Server.Register on the
@@ -261,8 +232,7 @@ func (s *Server) Register(mux *http.ServeMux) {
 	route("GET /api/v1/stats", "stats", s.handleStats)
 }
 
-// Handler returns a standalone route table (used by tests and the
-// self-test driver).
+// Handler returns a standalone route table, without the obs endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.Register(mux)

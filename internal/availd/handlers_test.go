@@ -212,18 +212,37 @@ func TestEvaluateRejectsOversizedExpansion(t *testing.T) {
 }
 
 // TestEvaluateConcurrentByteIdentity is the -race gate: many concurrent
-// clients issuing identical requests must all receive byte-identical
-// responses, served through the single-flight memo.
+// clients issuing every request shape — a stored scenario with none, one
+// and two overrides, an inline spec with and without overrides — must each
+// receive exactly the bytes a fresh, uncached server returns for the same
+// body sent serially, with the repeats served through the single-flight
+// memo.
 func TestEvaluateConcurrentByteIdentity(t *testing.T) {
-	srv, ts := newTestServer(t, Options{})
-	if _, err := srv.Store().Create("shop", demoSpec(0.999)); err != nil {
-		t.Fatal(err)
-	}
 	bodies := [][]byte{
 		[]byte(`{"scenario":"shop"}`),
 		[]byte(`{"scenario":"shop","overrides":{"WS":0.8}}`),
+		[]byte(`{"scenario":"shop","overrides":{"DB":0.9,"PS":0.95}}`),
 		fmt.Appendf(nil, `{"spec":%s}`, demoSpec(0.97)),
+		fmt.Appendf(nil, `{"spec":%s,"overrides":{"WS":0.5}}`, demoSpec(0.97)),
 	}
+	newShop := func() (*Server, *httptest.Server) {
+		srv, ts := newTestServer(t, Options{})
+		if _, err := srv.Store().Create("shop", demoSpec(0.999)); err != nil {
+			t.Fatal(err)
+		}
+		return srv, ts
+	}
+	reference := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		_, ts := newShop()
+		code, resp := request(t, ts, http.MethodPost, "/api/v1/evaluate", body)
+		if code != http.StatusOK {
+			t.Fatalf("reference %s: status %d: %s", body, code, resp)
+		}
+		reference[i] = resp
+	}
+
+	srv, ts := newShop()
 	const perBody = 40
 	var wg sync.WaitGroup
 	responses := make([][]byte, len(bodies)*perBody)
@@ -247,18 +266,20 @@ func TestEvaluateConcurrentByteIdentity(t *testing.T) {
 		}
 	}
 	for i := range responses {
-		if want := responses[i%len(bodies)]; !bytes.Equal(responses[i], want) {
-			t.Fatalf("response %d diverged:\n got %s\nwant %s", i, responses[i], want)
+		if want := reference[i%len(bodies)]; !bytes.Equal(responses[i], want) {
+			t.Fatalf("response %d (%s) diverged from the serial reference:\n got %s\nwant %s",
+				i, bodies[i%len(bodies)], responses[i], want)
 		}
 	}
 	hits, misses, _, _ := srv.Evaluator().MemoStats()
 	if hits == 0 {
 		t.Fatal("no memo hits across identical concurrent requests")
 	}
-	// Misses are bounded by the distinct models (3 bodies → 4 keys: the
-	// override body also evaluates its baseline, which the first body shares).
-	if misses > int64(len(bodies))+1 {
-		t.Fatalf("misses = %d, want ≤ %d", misses, len(bodies)+1)
+	// Each distinct model is solved once: five bodies, five models, since
+	// each override body's baseline is the model of a body without
+	// overrides.
+	if misses != int64(len(bodies)) {
+		t.Fatalf("misses = %d, want %d", misses, len(bodies))
 	}
 }
 
@@ -310,6 +331,11 @@ func TestSweepJobEndpoints(t *testing.T) {
 	}
 	if len(result.Points) != 8 {
 		t.Fatalf("points = %d, want 8", len(result.Points))
+	}
+	for i := 1; i < len(result.Points); i++ {
+		if result.Points[i].UserAvailability < result.Points[i-1].UserAvailability {
+			t.Fatalf("sweep not monotone at point %d: %+v", i, result.Points)
+		}
 	}
 
 	// Job listing knows the job; unknown ids are 404.
@@ -483,14 +509,23 @@ func TestMetricsAndStatsSurface(t *testing.T) {
 		"availd_memo_hits_total 1",
 		"# TYPE availd_request_seconds histogram",
 		"availd_scenarios 1",
-		"availd_kernel_ctmc_steady_solves_total",
-		"availd_kernel_dtmc_analyses_total",
-		"availd_kernel_gspn_freeze_hits_total",
-		"availd_kernel_faulttree_evals_total",
+		"kernel_ctmc_steady_solves_total",
+		"kernel_dtmc_analyses_total",
+		"kernel_gspn_freeze_hits_total",
+		"kernel_faulttree_evals_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The kernel series are exactly the set every binary publishes.
+	for _, name := range obs.KernelSeries() {
+		if !strings.Contains(text, "\n"+name+" ") {
+			t.Errorf("/metrics missing %s", name)
+		}
+	}
+	if n := strings.Count(text, "# TYPE kernel_"); n != len(obs.KernelSeries()) {
+		t.Errorf("/metrics has %d kernel_* families, want %d", n, len(obs.KernelSeries()))
 	}
 	// Request spans landed in the tracer.
 	if tracer.Recorded() < 4 {

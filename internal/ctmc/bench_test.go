@@ -80,10 +80,11 @@ func BenchmarkCompiledSteadyStateLU100(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var ws luWorkspace
 	var pi []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pi, err = cc.steadyStateLUInto(pi)
+		pi, err = cc.steadyStateLUInto(&ws, pi)
 		if err != nil {
 			b.Fatal(err)
 		}

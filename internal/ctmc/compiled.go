@@ -13,11 +13,10 @@ import (
 // the process: how many solves each kernel ran, how many matrix-vector
 // products uniformization performed, and how often the cached Poisson terms
 // were reused. The counters are atomic (one add per solve — negligible next
-// to the solve itself) and exported through ReadKernelStats for
-// `cmd/taeval -metrics` and the /metrics endpoint of internal/obs.
+// to the solve itself) and exported through ReadKernelStats, which
+// obs.RegisterKernels publishes as the kernel_ctmc_* series.
 var kernelCounters struct {
 	steadySolves    atomic.Int64
-	luSolves        atomic.Int64
 	transientSolves atomic.Int64
 	uniformSteps    atomic.Int64
 	poissonHits     atomic.Int64
@@ -27,11 +26,9 @@ var kernelCounters struct {
 
 // KernelStats is a snapshot of the process-wide compiled-kernel counters.
 type KernelStats struct {
-	// SteadySolves counts GTH steady-state solves; LUSolves counts the
-	// reusable-buffer LU cross-check path; TransientSolves counts
+	// SteadySolves counts GTH steady-state solves; TransientSolves counts
 	// uniformization runs.
 	SteadySolves    int64
-	LUSolves        int64
 	TransientSolves int64
 	// UniformizationSteps counts sparse matrix-vector products across all
 	// transient solves (the series length summed over solves).
@@ -50,7 +47,6 @@ type KernelStats struct {
 func ReadKernelStats() KernelStats {
 	return KernelStats{
 		SteadySolves:        kernelCounters.steadySolves.Load(),
-		LUSolves:            kernelCounters.luSolves.Load(),
 		TransientSolves:     kernelCounters.transientSolves.Load(),
 		UniformizationSteps: kernelCounters.uniformSteps.Load(),
 		PoissonCacheHits:    kernelCounters.poissonHits.Load(),
@@ -62,7 +58,7 @@ func ReadKernelStats() KernelStats {
 // Compiled is a frozen, solver-ready snapshot of a Chain: integer states, a
 // flat CSR (compressed sparse row) generator with deterministically sorted
 // successors, precomputed exit rates, and a pool of reusable solver
-// workspaces (GTH/LU elimination scratch, uniformization ping-pong vectors,
+// workspaces (GTH elimination scratch, uniformization ping-pong vectors,
 // cached Poisson terms).
 //
 // A Compiled value is immutable and safe for concurrent use: every solve
@@ -91,10 +87,7 @@ type Compiled struct {
 // compiledWorkspace holds the per-solve scratch buffers. One workspace
 // serves one solve at a time; the pool hands them out to concurrent callers.
 type compiledWorkspace struct {
-	dense []float64 // n×n GTH elimination scratch
-	luA   *linalg.Matrix
-	lu    *linalg.LU
-	b     []float64
+	dense []float64    // n×n GTH elimination scratch
 	vec   [2][]float64 // uniformization ping-pong vectors
 	// Cached Poisson terms: weights[0..terms-1] for rate·t = lt at tolerance
 	// tol, with their running sum. Reused when a chain is probed repeatedly
@@ -381,78 +374,6 @@ func (cc *Compiled) SteadyStateInto(dst []float64) ([]float64, error) {
 	return pi, nil
 }
 
-// SteadyStateLU computes the stationary distribution by solving πQ = 0 with
-// the normalization Σπ = 1 through the reusable-buffer LU path: an
-// independent numeric cross-check of the GTH kernel that also exercises
-// linalg's workspace reuse.
-func (cc *Compiled) SteadyStateLU() (Distribution, error) {
-	pi, err := cc.steadyStateLUInto(nil)
-	if err != nil {
-		return nil, err
-	}
-	return cc.Distribution(pi), nil
-}
-
-// steadyStateLUInto is the allocation-free body of SteadyStateLU: the matrix,
-// factorization and right-hand side persist in the pooled workspace.
-//
-//ta:hotpath
-func (cc *Compiled) steadyStateLUInto(dst []float64) ([]float64, error) {
-	kernelCounters.luSolves.Add(1)
-	n := len(cc.names)
-	if !cc.irreducible {
-		return nil, ErrNotIrreducible
-	}
-	ws := cc.pool.Get().(*compiledWorkspace)
-	defer cc.pool.Put(ws)
-	//lint:ignore hotpathalloc one-time workspace growth, amortized across every later solve
-	if ws.luA == nil || ws.luA.Rows() != n {
-		ws.luA = linalg.NewMatrix(n, n)
-		ws.lu = linalg.NewLU(n)
-		ws.b = make([]float64, n)
-	}
-	// Build Qᵀ with the last equation replaced by Σπ = 1.
-	a := ws.luA
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, 0)
-		}
-	}
-	for i := 0; i < n; i++ {
-		a.Set(i, i, -cc.exit[i])
-		for idx := cc.rowPtr[i]; idx < cc.rowPtr[i+1]; idx++ {
-			a.Set(cc.col[idx], i, cc.rate[idx])
-		}
-	}
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	for i := range ws.b {
-		ws.b[i] = 0
-	}
-	ws.b[n-1] = 1
-	if err := ws.lu.Refactor(a); err != nil {
-		return nil, fmt.Errorf("ctmc: steady-state solve: %w", err)
-	}
-	pi := resize(dst, n)
-	if err := ws.lu.SolveInto(pi, ws.b); err != nil {
-		return nil, fmt.Errorf("ctmc: steady-state solve: %w", err)
-	}
-	// Clamp tiny negative round-off.
-	for i, p := range pi {
-		if p < 0 {
-			if p < -1e-9 {
-				return nil, fmt.Errorf("ctmc: steady-state probability %v for state %q is negative beyond round-off", p, cc.names[i])
-			}
-			pi[i] = 0
-		}
-	}
-	if _, err := linalg.Normalize(pi); err != nil {
-		return nil, err
-	}
-	return pi, nil
-}
-
 // poissonTerms fills the workspace's weight cache with the Poisson pmf terms
 // of the uniformization series for rate·time product lt, truncated at mass
 // tolerance tol past the mean, with a hard cap at mean + 12·√mean + 40.
@@ -583,14 +504,4 @@ func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) (
 		}
 	}
 	return acc, nil
-}
-
-// PointAvailability computes the probability of being in any of the `up`
-// states at time t, starting from the initial distribution.
-func (cc *Compiled) PointAvailability(initial Distribution, t float64, up func(name string) bool) (float64, error) {
-	d, err := cc.Transient(initial, t, 1e-12)
-	if err != nil {
-		return 0, err
-	}
-	return d.SumOver(up), nil
 }

@@ -388,23 +388,15 @@ func TestKernelStats(t *testing.T) {
 	if _, err := cc.SteadyState(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.SteadyStateLU(); err != nil {
-		t.Fatal(err)
-	}
 	init := Distribution{"4": 1}
-	if _, err := cc.Transient(init, 10, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-	// Same (lambda*t, tol): the Poisson weights are reused from the workspace.
-	if _, err := cc.Transient(init, 10, 1e-9); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := cc.Transient(init, 10, 1e-9); err != nil {
+			t.Fatal(err)
+		}
 	}
 	after := ReadKernelStats()
 	if d := after.SteadySolves - before.SteadySolves; d < 1 {
 		t.Errorf("steady solves advanced by %d, want >= 1", d)
-	}
-	if d := after.LUSolves - before.LUSolves; d < 1 {
-		t.Errorf("LU solves advanced by %d, want >= 1", d)
 	}
 	if d := after.TransientSolves - before.TransientSolves; d < 2 {
 		t.Errorf("transient solves advanced by %d, want >= 2", d)
@@ -415,7 +407,19 @@ func TestKernelStats(t *testing.T) {
 	if d := after.PoissonCacheMisses - before.PoissonCacheMisses; d < 1 {
 		t.Errorf("poisson misses advanced by %d, want >= 1", d)
 	}
-	if d := after.PoissonCacheHits - before.PoissonCacheHits; d < 1 {
-		t.Errorf("poisson hits advanced by %d, want >= 1", d)
+
+	// Poisson-term reuse belongs to one workspace, so it is checked on one:
+	// whether Transient gets the same pooled workspace back depends on
+	// sync.Pool, which the race detector makes drop Puts at random.
+	var ws compiledWorkspace
+	before = ReadKernelStats()
+	ws.poissonTerms(12.5, 1e-9)
+	ws.poissonTerms(12.5, 1e-9)
+	after = ReadKernelStats()
+	if d := after.PoissonCacheMisses - before.PoissonCacheMisses; d != 1 {
+		t.Errorf("poisson misses advanced by %d, want 1", d)
+	}
+	if d := after.PoissonCacheHits - before.PoissonCacheHits; d != 1 {
+		t.Errorf("poisson hits advanced by %d, want 1", d)
 	}
 }

@@ -333,11 +333,15 @@ func TestTransientNoTransitions(t *testing.T) {
 }
 
 func TestPointAvailability(t *testing.T) {
-	c := twoState(t, 1, 1)
-	a, err := c.PointAvailability(Distribution{"up": 1}, 100, func(s string) bool { return s == "up" })
+	cc, err := twoState(t, 1, 1).Compile()
 	if err != nil {
-		t.Fatalf("PointAvailability: %v", err)
+		t.Fatal(err)
 	}
+	d, err := cc.Transient(Distribution{"up": 1}, 100, 1e-12)
+	if err != nil {
+		t.Fatalf("Transient: %v", err)
+	}
+	a := d.SumOver(func(s string) bool { return s == "up" })
 	if math.Abs(a-0.5) > 1e-9 {
 		t.Errorf("A(∞) = %v, want 0.5", a)
 	}

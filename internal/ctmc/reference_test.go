@@ -8,7 +8,8 @@ import (
 )
 
 // This file holds the generic solvers over the map-based Chain: GTH and LU
-// steady state, uniformization, and the irreducibility check they share.
+// steady state, uniformization, and the irreducibility check they share,
+// plus the compiled LU kernel, GTH's independent cross-check.
 // Production code solves through Compile; the tests and FuzzCompiledCTMC
 // check the compiled kernels against these references.
 
@@ -298,12 +299,76 @@ func (c *Chain) Transient(initial Distribution, t float64, tol float64) (Distrib
 	return c.toDistribution(acc), nil
 }
 
-// PointAvailability computes the probability of being in any of the `up`
-// states at time t, starting from the initial distribution.
-func (c *Chain) PointAvailability(initial Distribution, t float64, up func(name string) bool) (float64, error) {
-	d, err := c.Transient(initial, t, 1e-12)
+// luWorkspace holds the matrix, factorization and right-hand side of the
+// compiled LU kernel, reused across solves of the same size.
+type luWorkspace struct {
+	luA *linalg.Matrix
+	lu  *linalg.LU
+	b   []float64
+}
+
+// SteadyStateLU computes the stationary distribution by solving πQ = 0 with
+// the normalization Σπ = 1 through the reusable-buffer LU path: an
+// independent numeric cross-check of the GTH kernel that also exercises
+// linalg's workspace reuse.
+func (cc *Compiled) SteadyStateLU() (Distribution, error) {
+	pi, err := cc.steadyStateLUInto(&luWorkspace{}, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return d.SumOver(up), nil
+	return cc.Distribution(pi), nil
+}
+
+// steadyStateLUInto is the allocation-free body of SteadyStateLU: the matrix,
+// factorization and right-hand side persist in ws.
+func (cc *Compiled) steadyStateLUInto(ws *luWorkspace, dst []float64) ([]float64, error) {
+	n := len(cc.names)
+	if !cc.irreducible {
+		return nil, ErrNotIrreducible
+	}
+	if ws.luA == nil || ws.luA.Rows() != n {
+		ws.luA = linalg.NewMatrix(n, n)
+		ws.lu = linalg.NewLU(n)
+		ws.b = make([]float64, n)
+	}
+	// Build Qᵀ with the last equation replaced by Σπ = 1.
+	a := ws.luA
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, 0)
+		}
+	}
+	for i := 0; i < n; i++ {
+		a.Set(i, i, -cc.exit[i])
+		for idx := cc.rowPtr[i]; idx < cc.rowPtr[i+1]; idx++ {
+			a.Set(cc.col[idx], i, cc.rate[idx])
+		}
+	}
+	for j := 0; j < n; j++ {
+		a.Set(n-1, j, 1)
+	}
+	for i := range ws.b {
+		ws.b[i] = 0
+	}
+	ws.b[n-1] = 1
+	if err := ws.lu.Refactor(a); err != nil {
+		return nil, fmt.Errorf("ctmc: steady-state solve: %w", err)
+	}
+	pi := resize(dst, n)
+	if err := ws.lu.SolveInto(pi, ws.b); err != nil {
+		return nil, fmt.Errorf("ctmc: steady-state solve: %w", err)
+	}
+	// Clamp tiny negative round-off.
+	for i, p := range pi {
+		if p < 0 {
+			if p < -1e-9 {
+				return nil, fmt.Errorf("ctmc: steady-state probability %v for state %q is negative beyond round-off", p, cc.names[i])
+			}
+			pi[i] = 0
+		}
+	}
+	if _, err := linalg.Normalize(pi); err != nil {
+		return nil, err
+	}
+	return pi, nil
 }

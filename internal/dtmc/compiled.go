@@ -16,7 +16,7 @@ import (
 // were compiled, how many absorbing analyses ran, how many fundamental-matrix
 // column solves those analyses performed, and how many rate-only probability
 // refreshes were applied to frozen structures. Exported through
-// ReadKernelStats for `cmd/taeval -metrics` and the obs metrics plane.
+// ReadKernelStats, which obs.RegisterKernels publishes as kernel_dtmc_*.
 var kernelCounters struct {
 	compiles     atomic.Int64
 	analyses     atomic.Int64

@@ -7,7 +7,7 @@ import (
 
 // kernelCounters aggregates compiled-tree activity across the process,
 // mirroring the ctmc/dtmc/gspn kernel counters. Exported through
-// ReadKernelStats for `cmd/taeval -metrics` and the obs metrics plane.
+// ReadKernelStats, which obs.RegisterKernels publishes as kernel_faulttree_*.
 var kernelCounters struct {
 	compiles      atomic.Int64
 	evals         atomic.Int64

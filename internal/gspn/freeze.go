@@ -10,7 +10,7 @@ import (
 
 // kernelCounters aggregates frozen-solver activity across every net in the
 // process, mirroring the ctmc/dtmc kernel counters. Exported through
-// ReadKernelStats for `cmd/taeval -metrics` and the obs metrics plane.
+// ReadKernelStats, which obs.RegisterKernels publishes as kernel_gspn_*.
 var kernelCounters struct {
 	freezes     atomic.Int64
 	freezeHits  atomic.Int64

@@ -6,10 +6,12 @@
 // detector that compares the measured user-perceived availability against the
 // analytic prediction of equation (10) while a run is still in flight.
 //
-// The package is stdlib-only and deliberately free of model dependencies: it
-// imports internal/telemetry for the shared geometric histogram layout and
-// nothing else, so every layer of the reproduction — the live testbed, the
-// compiled CTMC kernels, the sweep pool — can feed it without cycles.
+// The package is stdlib-only. Its registry imports internal/telemetry for the
+// shared geometric histogram layout and nothing else, so every layer of the
+// reproduction — the live testbed, the availd API, the sweep pool — can feed
+// it without cycles. The one model dependency is RegisterKernels, which reads
+// the ctmc, dtmc, gspn and faulttree counters; none of those packages
+// imports obs.
 package obs
 
 import (
