@@ -99,8 +99,8 @@ func TestDOTOutput(t *testing.T) {
 }
 
 // TestGoldenOutputs pins the full rendered output of the three-state model
-// in testdata for the steady-state table, the transient table and the DOT
-// rendering, byte for byte.
+// in testdata for the steady-state table, the transient table, the DOT
+// rendering and the mean-time-to-absorption table, byte for byte.
 func TestGoldenOutputs(t *testing.T) {
 	const model = "testdata/three.json"
 	for _, tc := range []struct {
@@ -110,6 +110,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"steady.golden", []string{model}},
 		{"transient.golden", []string{"-transient", "1", "-initial", "up", model}},
 		{"dot.golden", []string{"-dot", model}},
+		{"mtta.golden", []string{"-mtta", "down", model}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			got, err := runCapture(t, tc.args...)
