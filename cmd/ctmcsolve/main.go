@@ -71,8 +71,13 @@ func run(args []string, w io.Writer) error {
 		return werr
 	}
 
+	cc, err := chain.Compile()
+	if err != nil {
+		return err
+	}
+
 	if *mtta != "" {
-		times, err := chain.MeanTimeToAbsorption(*mtta)
+		times, err := cc.MeanTimeToAbsorption(*mtta)
 		if err != nil {
 			return err
 		}
@@ -83,10 +88,6 @@ func run(args []string, w io.Writer) error {
 		return tbl.Render(w)
 	}
 
-	cc, err := chain.Compile()
-	if err != nil {
-		return err
-	}
 	steady, err := cc.SteadyState()
 	if err != nil {
 		return err

@@ -112,6 +112,25 @@ func BenchmarkCompiledTransient50(b *testing.B) {
 	}
 }
 
+// BenchmarkCompiledOccupancy measures the first-year occupancy of the
+// N_W=4, c=0.98 web farm (λ=1e-3/h, µ=1/h, β=12/h) over 8760 h: about 1e5
+// uniformization steps on nine states.
+func BenchmarkCompiledOccupancy(b *testing.B) {
+	cc, err := figure10Chain(b, 4, 1e-3, 1, 0.98, 12).Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	initial := Distribution{"4": 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		occ, err := cc.Occupancy(initial, 8760, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += occ["0"]
+	}
+}
+
 // BenchmarkCompile measures the one-time compilation cost amortized by the
 // kernels above.
 func BenchmarkCompile(b *testing.B) {

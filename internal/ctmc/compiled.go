@@ -67,8 +67,9 @@ func ReadKernelStats() KernelStats {
 // large buffers. Compiling takes a snapshot — later mutations of the source
 // Chain do not affect the compiled form.
 //
-// Compiled is the package's only steady-state and transient solver. Its
-// kernels keep the arithmetic order of the generic reference solvers in
+// Compiled is the package's only solver: steady state, transient
+// distribution, occupancy (accumulated reward) and mean time to absorption.
+// Its kernels keep the arithmetic order of the generic reference solvers in
 // reference_test.go: the GTH steady state is bit-identical to the reference,
 // whose dense elimination does not depend on the sparse representation, and
 // uniformization agrees to well below 1e-12.
@@ -404,13 +405,9 @@ func (ws *compiledWorkspace) poissonTerms(lt, tol float64) ([]float64, float64) 
 	return ws.weights, sumW
 }
 
-// Transient computes the state distribution at time t, starting from the
-// given initial distribution, using uniformization (randomization / Jensen's
-// method) with adaptive truncation of the Poisson series.
-//
-// The tolerance bounds the total truncated probability mass; 1e-12 is a good
-// default. Initial states absent from `initial` have probability zero.
-func (cc *Compiled) Transient(initial Distribution, t, tol float64) (Distribution, error) {
+// initialVector validates an initial distribution and returns it as a
+// probability vector indexed by state.
+func (cc *Compiled) initialVector(initial Distribution) ([]float64, error) {
 	p0 := make([]float64, len(cc.names))
 	var total float64
 	for name, pr := range initial {
@@ -426,6 +423,20 @@ func (cc *Compiled) Transient(initial Distribution, t, tol float64) (Distributio
 	}
 	if math.Abs(total-1) > 1e-9 {
 		return nil, fmt.Errorf("ctmc: initial distribution sums to %v, want 1", total)
+	}
+	return p0, nil
+}
+
+// Transient computes the state distribution at time t, starting from the
+// given initial distribution, using uniformization (randomization / Jensen's
+// method) with adaptive truncation of the Poisson series.
+//
+// The tolerance bounds the total truncated probability mass; 1e-12 is a good
+// default. Initial states absent from `initial` have probability zero.
+func (cc *Compiled) Transient(initial Distribution, t, tol float64) (Distribution, error) {
+	p0, err := cc.initialVector(initial)
+	if err != nil {
+		return nil, err
 	}
 	out, err := cc.TransientInto(p0, t, tol, nil)
 	if err != nil {
@@ -443,6 +454,39 @@ func (cc *Compiled) Transient(initial Distribution, t, tol float64) (Distributio
 //
 //ta:hotpath
 func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) ([]float64, error) {
+	return cc.uniformize(p0, t, tol, false, dst)
+}
+
+// Occupancy returns the expected time spent in each state over [0, t],
+// starting from the given initial distribution: E[∫₀ᵗ 1{X(s) = i} ds]. The
+// entries sum to t. The expected up time is Occupancy(...).SumOver(up), and
+// any accumulated reward E[∫₀ᵗ r(X(s)) ds] is the occupancy-weighted sum of
+// the reward rates — the first-year downtime of a farm, for instance.
+//
+// It runs the uniformization series of Transient with the weights
+// P(N(t) > k)/Λ in place of the Poisson pmf, N(t) ~ Poisson(Λt), since
+// ∫₀ᵗ p₀e^{Qs}ds = Σ_k P(N(t) > k)/Λ · p₀Pᵏ. The tolerance bounds the
+// truncated probability mass of the series, as for Transient.
+func (cc *Compiled) Occupancy(initial Distribution, t, tol float64) (Distribution, error) {
+	p0, err := cc.initialVector(initial)
+	if err != nil {
+		return nil, err
+	}
+	out, err := cc.uniformize(p0, t, tol, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	return cc.Distribution(out), nil
+}
+
+// uniformize is the one uniformization loop behind TransientInto and
+// Occupancy: it accumulates Σ_k w_k·(p0·Pᵏ) with P = I + Q/Λ applied over
+// the CSR rows, then rescales the sum to absorb the truncation defect. The
+// transient weights w_k are the Poisson pmf terms; the occupancy weights
+// are (1 − cdf_k)/Λ, built from the same cached terms as the loop runs.
+//
+//ta:hotpath
+func (cc *Compiled) uniformize(p0 []float64, t, tol float64, occupancy bool, dst []float64) ([]float64, error) {
 	n := len(cc.names)
 	if len(p0) != n {
 		return nil, fmt.Errorf("ctmc: initial vector length %d, want %d", len(p0), n)
@@ -456,7 +500,13 @@ func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) (
 	kernelCounters.transientSolves.Add(1)
 	acc := resize(dst, n)
 	if t == 0 || cc.maxExit == 0 {
+		// The chain stays where it starts: p(t) = p0, occupancy p0·t.
 		copy(acc, p0)
+		if occupancy {
+			for i := range acc {
+				acc[i] *= t
+			}
+		}
 		return acc, nil
 	}
 	lambda := cc.maxExit * 1.02
@@ -466,8 +516,8 @@ func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) (
 	ws.vec[0] = resize(ws.vec[0], n)
 	ws.vec[1] = resize(ws.vec[1], n)
 
-	weights, sumW := ws.poissonTerms(lambda*t, tol)
-	kernelCounters.uniformSteps.Add(int64(len(weights) - 1))
+	pmf, norm := ws.poissonTerms(lambda*t, tol)
+	kernelCounters.uniformSteps.Add(int64(len(pmf) - 1))
 
 	// Accumulate Σ_k w_k · (p0·P^k) with P = I + Q/λ applied sparsely.
 	v := ws.vec[0]
@@ -476,11 +526,17 @@ func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) (
 	for i := range acc {
 		acc[i] = 0
 	}
-	for k, w := range weights {
+	var cdf, occSum float64
+	for k, w := range pmf {
+		if occupancy {
+			cdf += w
+			w = math.Max((1-cdf)/lambda, 0)
+			occSum += w
+		}
 		for i, vi := range v {
 			acc[i] += w * vi
 		}
-		if k == len(weights)-1 {
+		if k == len(pmf)-1 {
 			break
 		}
 		for i := range next {
@@ -497,11 +553,84 @@ func (cc *Compiled) TransientInto(p0 []float64, t, tol float64, dst []float64) (
 		}
 		v, next = next, v
 	}
-	// Renormalize the truncation defect.
-	if sumW > 0 {
+	// Renormalize the truncation defect: the pmf should sum to 1 and the
+	// occupancy weights to t.
+	if occupancy {
+		if occSum == 0 {
+			// Λ·t is below rounding, so every 1 − cdf_k is 0: the chain
+			// does not leave p0 within [0, t].
+			for i := range acc {
+				acc[i] = p0[i] * t
+			}
+			return acc, nil
+		}
+		norm = occSum / t
+	}
+	if norm > 0 {
 		for i := range acc {
-			acc[i] /= sumW
+			acc[i] /= norm
 		}
 	}
 	return acc, nil
+}
+
+// MeanTimeToAbsorption computes, for a chain in which the given states are
+// absorbing targets, the expected time to reach any of them from each
+// transient state. Transitions out of target states are ignored. The result
+// maps transient state names to expected hitting times; target states map
+// to zero.
+func (cc *Compiled) MeanTimeToAbsorption(targets ...string) (map[string]float64, error) {
+	n := len(cc.names)
+	isTarget := make([]bool, n)
+	for _, t := range targets {
+		i, err := cc.StateIndex(t)
+		if err != nil {
+			return nil, err
+		}
+		isTarget[i] = true
+	}
+	// Transient states.
+	var trans []int
+	pos := make([]int, n)
+	for i := 0; i < n; i++ {
+		pos[i] = -1
+		if !isTarget[i] {
+			pos[i] = len(trans)
+			trans = append(trans, i)
+		}
+	}
+	out := make(map[string]float64, n)
+	for _, t := range targets {
+		out[t] = 0
+	}
+	if len(trans) == 0 {
+		return out, nil
+	}
+	// Solve  Q_TT · h = -1  restricted to transient states.
+	m := len(trans)
+	a := linalg.NewMatrix(m, m)
+	b := make([]float64, m)
+	for r, i := range trans {
+		if cc.exit[i] == 0 {
+			return nil, fmt.Errorf("ctmc: transient state %q cannot reach any target", cc.names[i])
+		}
+		a.Set(r, r, -cc.exit[i])
+		for idx := cc.rowPtr[i]; idx < cc.rowPtr[i+1]; idx++ {
+			if j := cc.col[idx]; !isTarget[j] {
+				a.Add(r, pos[j], cc.rate[idx])
+			}
+		}
+		b[r] = -1
+	}
+	h, err := linalg.Solve(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("ctmc: hitting-time solve: %w", err)
+	}
+	for r, i := range trans {
+		if h[r] < 0 || math.IsNaN(h[r]) {
+			return nil, fmt.Errorf("ctmc: invalid hitting time %v for state %q (target set unreachable?)", h[r], cc.names[i])
+		}
+		out[cc.names[i]] = h[r]
+	}
+	return out, nil
 }

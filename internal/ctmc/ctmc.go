@@ -1,11 +1,11 @@
 // Package ctmc implements continuous-time Markov chains: model construction,
-// steady-state solution (via the numerically stable GTH elimination or an LU
-// solve), transient solution via uniformization, reward evaluation, and mean
-// time to absorption.
+// steady-state solution (via the numerically stable GTH elimination),
+// transient solution and expected state occupancy via uniformization, and
+// mean time to absorption.
 //
-// Chain builds a chain by naming states and adding transitions with positive
-// rates; Compile freezes it into the solver-ready form whose kernels compute
-// every steady-state and transient distribution. The generic map-based
+// Chain builds, inspects and serialises a chain: states are named and
+// transitions added with positive rates. Compile freezes it into the
+// solver-ready form whose kernels run every solve. The generic map-based
 // solvers live on only in the package's tests, as the references the compiled
 // kernels are checked against. The package backs the availability models of
 // the travel-agency study: the closed-form repair models in package
@@ -107,15 +107,6 @@ func (c *Chain) Rate(from, to string) (float64, error) {
 		return 0, err
 	}
 	return c.rates[i][j], nil
-}
-
-// ExitRate returns the total outgoing rate of state i.
-func (c *Chain) ExitRate(i int) float64 {
-	var s float64
-	for _, r := range c.rates[i] {
-		s += r
-	}
-	return s
 }
 
 // successors returns the sorted successor indices of state i.

@@ -22,6 +22,15 @@ func twoState(t *testing.T, lambda, mu float64) *Chain {
 	return c
 }
 
+func mustCompile(t testing.TB, c *Chain) *Compiled {
+	t.Helper()
+	cc, err := c.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return cc
+}
+
 func TestAddStateIdempotent(t *testing.T) {
 	c := New()
 	a := c.AddState("s")
@@ -234,7 +243,7 @@ func TestMeanTimeToAbsorption(t *testing.T) {
 	// up --λ--> down: MTTF from up is 1/λ.
 	c := New()
 	_ = c.AddTransition("up", "down", 0.25)
-	h, err := c.MeanTimeToAbsorption("down")
+	h, err := mustCompile(t, c).MeanTimeToAbsorption("down")
 	if err != nil {
 		t.Fatalf("MeanTimeToAbsorption: %v", err)
 	}
@@ -251,7 +260,7 @@ func TestMeanTimeToAbsorptionSequential(t *testing.T) {
 	c := New()
 	_ = c.AddTransition("a", "b", 1)
 	_ = c.AddTransition("b", "c", 2)
-	h, err := c.MeanTimeToAbsorption("c")
+	h, err := mustCompile(t, c).MeanTimeToAbsorption("c")
 	if err != nil {
 		t.Fatalf("MeanTimeToAbsorption: %v", err)
 	}
@@ -268,8 +277,12 @@ func TestMeanTimeToAbsorptionUnreachable(t *testing.T) {
 	_ = c.AddTransition("a", "b", 1)
 	_ = c.AddTransition("b", "a", 1)
 	c.AddState("island")
-	if _, err := c.MeanTimeToAbsorption("island"); err == nil {
+	cc := mustCompile(t, c)
+	if _, err := cc.MeanTimeToAbsorption("island"); err == nil {
 		t.Error("expected error when targets are unreachable")
+	}
+	if _, err := cc.MeanTimeToAbsorption("ghost"); err == nil {
+		t.Error("unknown target accepted")
 	}
 }
 

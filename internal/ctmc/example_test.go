@@ -28,9 +28,10 @@ func ExampleCompiled_SteadyState() {
 	// Output: A = 0.998004
 }
 
-// Interval availability: the expected up fraction of the first 1000 hours,
-// starting from the up state, slightly exceeds the steady-state value.
-func ExampleChain_IntervalAvailability() {
+// Expected occupancy over the first 1000 hours, starting from the up
+// state: the up time divided by the horizon is the interval availability,
+// slightly above the steady-state value.
+func ExampleCompiled_Occupancy() {
 	c := ctmc.New()
 	check := func(err error) {
 		if err != nil {
@@ -39,11 +40,18 @@ func ExampleChain_IntervalAvailability() {
 	}
 	check(c.AddTransition("up", "down", 0.001))
 	check(c.AddTransition("down", "up", 0.5))
-	ia, err := c.IntervalAvailability(ctmc.Distribution{"up": 1}, 1000,
-		func(s string) bool { return s == "up" })
+	cc, err := c.Compile()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("interval availability = %.6f\n", ia)
-	// Output: interval availability = 0.998008
+	occ, err := cc.Occupancy(ctmc.Distribution{"up": 1}, 1000, 0)
+	if err != nil {
+		panic(err)
+	}
+	up := occ.SumOver(func(s string) bool { return s == "up" })
+	fmt.Printf("up %.3f h, down %.3f h\n", up, occ["down"])
+	fmt.Printf("interval availability = %.6f\n", up/1000)
+	// Output:
+	// up 998.008 h, down 1.992 h
+	// interval availability = 0.998008
 }

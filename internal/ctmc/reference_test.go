@@ -8,10 +8,11 @@ import (
 )
 
 // This file holds the generic solvers over the map-based Chain: GTH and LU
-// steady state, uniformization, and the irreducibility check they share,
-// plus the compiled LU kernel, GTH's independent cross-check.
-// Production code solves through Compile; the tests and FuzzCompiledCTMC
-// check the compiled kernels against these references.
+// steady state, uniformization, accumulated reward, mean time to absorption,
+// and the exit-rate and irreducibility helpers they share, plus the compiled
+// LU kernel, GTH's independent cross-check. Production code solves through
+// Compile; the tests, FuzzCompiledCTMC and FuzzCompiledReward check the
+// compiled kernels against these references.
 
 // Generator returns the infinitesimal generator matrix Q, where
 // Q[i][j] = rate(i→j) for i ≠ j and Q[i][i] = -Σ_j rate(i→j).
@@ -371,4 +372,219 @@ func (cc *Compiled) steadyStateLUInto(ws *luWorkspace, dst []float64) ([]float64
 		return nil, err
 	}
 	return pi, nil
+}
+
+// ExitRate returns the total outgoing rate of state i. It sums in successor
+// order, as Compile does: a sum in map order changes in the last bit from
+// run to run, and the hitting-time solve of a stiff chain magnifies that
+// bit to a relative error near 1e-6.
+func (c *Chain) ExitRate(i int) float64 {
+	var s float64
+	for _, j := range c.successors(i) {
+		s += c.rates[i][j]
+	}
+	return s
+}
+
+// ExpectedAccumulatedReward computes E[∫₀ᵗ r(X(s)) ds]: the expected reward
+// accumulated over [0, t] when the chain starts from the given initial
+// distribution and each state s earns reward rate r(s) while occupied.
+//
+// With r(s) = 1 on up states this is the expected up time in [0, t]; the
+// complementary choice gives the expected downtime of a system's first
+// year — the "hours per year" unit used throughout §5 of the paper, but as
+// a transient (not steady-state) measure.
+//
+// The integral is evaluated by uniformization: with uniformization rate Λ
+// and DTMC kernel P, ∫₀ᵗ π(s)ds = Σ_{k≥0} w_k(t)·(p₀Pᵏ), where
+// w_k(t) = P(N(t) > k)/Λ and N(t) ~ Poisson(Λt). The truncation error is
+// bounded by tol·t in reward units (for |r| ≤ max|r|, scaled accordingly).
+func (c *Chain) ExpectedAccumulatedReward(initial Distribution, t float64, reward func(name string) float64, tol float64) (float64, error) {
+	n := len(c.names)
+	if n == 0 {
+		return 0, ErrEmpty
+	}
+	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, fmt.Errorf("ctmc: invalid time %v", t)
+	}
+	if tol <= 0 {
+		tol = 1e-10
+	}
+	p0 := make([]float64, n)
+	var total float64
+	for name, pr := range initial {
+		i, err := c.StateIndex(name)
+		if err != nil {
+			return 0, err
+		}
+		if pr < 0 {
+			return 0, fmt.Errorf("ctmc: negative initial probability %v for %q", pr, name)
+		}
+		p0[i] = pr
+		total += pr
+	}
+	if math.Abs(total-1) > 1e-9 {
+		return 0, fmt.Errorf("ctmc: initial distribution sums to %v, want 1", total)
+	}
+	rewards := make([]float64, n)
+	for i, name := range c.names {
+		r := reward(name)
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return 0, fmt.Errorf("ctmc: invalid reward %v for state %q", r, name)
+		}
+		rewards[i] = r
+	}
+	if t == 0 {
+		return 0, nil
+	}
+
+	var lambda float64
+	for i := 0; i < n; i++ {
+		if r := c.ExitRate(i); r > lambda {
+			lambda = r
+		}
+	}
+	if lambda == 0 {
+		// No transitions: reward accrues in the initial states forever.
+		var acc float64
+		for i, p := range p0 {
+			acc += p * rewards[i] * t
+		}
+		return acc, nil
+	}
+	lambda *= 1.02
+
+	applyP := func(v []float64) []float64 {
+		out := make([]float64, n)
+		for i, vi := range v {
+			if vi == 0 {
+				continue
+			}
+			exit := c.ExitRate(i)
+			out[i] += vi * (1 - exit/lambda)
+			for j, r := range c.rates[i] {
+				out[j] += vi * r / lambda
+			}
+		}
+		return out
+	}
+
+	// w_k = P(N(t) > k)/Λ: computed from the Poisson pmf cumulatively.
+	lt := lambda * t
+	kMax := int(lt + 12*math.Sqrt(lt) + 40)
+	logPMF := -lt // log pmf(0)
+	cdf := 0.0
+	v := p0
+	var acc float64
+	for k := 0; ; k++ {
+		pmf := math.Exp(logPMF)
+		cdf += pmf
+		w := (1 - cdf) / lambda
+		if w < 0 {
+			w = 0
+		}
+		var instant float64
+		for i, vi := range v {
+			instant += vi * rewards[i]
+		}
+		acc += w * instant
+		if (1-cdf)*t < tol && float64(k) >= lt {
+			break
+		}
+		if k >= kMax {
+			break
+		}
+		logPMF += math.Log(lt) - math.Log(float64(k+1))
+		v = applyP(v)
+	}
+	return acc, nil
+}
+
+// ExpectedUpTime returns the expected total time spent in the up states
+// during [0, t].
+func (c *Chain) ExpectedUpTime(initial Distribution, t float64, up func(name string) bool) (float64, error) {
+	return c.ExpectedAccumulatedReward(initial, t, func(name string) float64 {
+		if up(name) {
+			return 1
+		}
+		return 0
+	}, 0)
+}
+
+// IntervalAvailability returns the expected fraction of [0, t] spent in the
+// up states — the interval availability of classical dependability theory.
+func (c *Chain) IntervalAvailability(initial Distribution, t float64, up func(name string) bool) (float64, error) {
+	if t <= 0 {
+		return 0, fmt.Errorf("ctmc: interval availability needs t > 0, have %v", t)
+	}
+	upTime, err := c.ExpectedUpTime(initial, t, up)
+	if err != nil {
+		return 0, err
+	}
+	return upTime / t, nil
+}
+
+// MeanTimeToAbsorption computes, for a chain in which the given states are
+// absorbing targets, the expected time to reach any of them from each
+// transient state. Transitions out of target states are ignored. The result
+// maps transient state names to expected hitting times; target states map
+// to zero.
+func (c *Chain) MeanTimeToAbsorption(targets ...string) (map[string]float64, error) {
+	n := len(c.names)
+	if n == 0 {
+		return nil, ErrEmpty
+	}
+	isTarget := make([]bool, n)
+	for _, t := range targets {
+		i, err := c.StateIndex(t)
+		if err != nil {
+			return nil, err
+		}
+		isTarget[i] = true
+	}
+	// Transient states.
+	var trans []int
+	pos := make([]int, n)
+	for i := 0; i < n; i++ {
+		pos[i] = -1
+		if !isTarget[i] {
+			pos[i] = len(trans)
+			trans = append(trans, i)
+		}
+	}
+	out := make(map[string]float64, n)
+	for _, t := range targets {
+		out[t] = 0
+	}
+	if len(trans) == 0 {
+		return out, nil
+	}
+	// Solve  Q_TT · h = -1  restricted to transient states.
+	m := len(trans)
+	a := linalg.NewMatrix(m, m)
+	b := make([]float64, m)
+	for r, i := range trans {
+		exit := c.ExitRate(i)
+		if exit == 0 {
+			return nil, fmt.Errorf("ctmc: transient state %q cannot reach any target", c.names[i])
+		}
+		a.Set(r, r, -exit)
+		for j, rate := range c.rates[i] {
+			if !isTarget[j] {
+				a.Add(r, pos[j], rate)
+			}
+		}
+		b[r] = -1
+	}
+	h, err := linalg.Solve(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("ctmc: hitting-time solve: %w", err)
+	}
+	for r, i := range trans {
+		if h[r] < 0 || math.IsNaN(h[r]) {
+			return nil, fmt.Errorf("ctmc: invalid hitting time %v for state %q (target set unreachable?)", h[r], c.names[i])
+		}
+		out[c.names[i]] = h[r]
+	}
+	return out, nil
 }

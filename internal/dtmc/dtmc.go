@@ -1,7 +1,6 @@
 // Package dtmc implements discrete-time Markov chains: construction with
-// probability validation, stationary distributions of irreducible chains, and
-// absorbing-chain analysis (fundamental matrix, expected visit counts, and
-// absorption probabilities).
+// probability validation and absorbing-chain analysis (fundamental matrix,
+// expected visit counts, and absorption probabilities).
 //
 // Chain builds a chain by name; Compile freezes it into the solver-ready
 // form, and every absorbing analysis runs on that compiled kernel. The
@@ -17,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // ErrUnknownState is returned when a state name has not been declared.
@@ -122,111 +119,4 @@ func (c *Chain) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TransitionMatrix returns the row-stochastic matrix P.
-func (c *Chain) TransitionMatrix() (*linalg.Matrix, error) {
-	n := len(c.names)
-	if n == 0 {
-		return nil, errors.New("dtmc: chain has no states")
-	}
-	p := linalg.NewMatrix(n, n)
-	for i, row := range c.prob {
-		for j, v := range row {
-			p.Set(i, j, v)
-		}
-	}
-	return p, nil
-}
-
-// StepDistribution returns the state distribution after exactly n steps,
-// starting from the given initial distribution. Absorbing states retain
-// their probability.
-func (c *Chain) StepDistribution(initial map[string]float64, steps int) (map[string]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if steps < 0 {
-		return nil, fmt.Errorf("dtmc: negative step count %d", steps)
-	}
-	cur := make([]float64, len(c.names))
-	var total float64
-	for name, p := range initial {
-		i, err := c.StateIndex(name)
-		if err != nil {
-			return nil, err
-		}
-		if p < 0 {
-			return nil, fmt.Errorf("dtmc: negative initial probability %v for %q", p, name)
-		}
-		cur[i] = p
-		total += p
-	}
-	if math.Abs(total-1) > 1e-9 {
-		return nil, fmt.Errorf("dtmc: initial distribution sums to %v, want 1", total)
-	}
-	for s := 0; s < steps; s++ {
-		next := make([]float64, len(c.names))
-		for i, pi := range cur {
-			if pi == 0 {
-				continue
-			}
-			if len(c.prob[i]) == 0 { // absorbing
-				next[i] += pi
-				continue
-			}
-			for j, p := range c.prob[i] {
-				next[j] += pi * p
-			}
-		}
-		cur = next
-	}
-	out := make(map[string]float64, len(c.names))
-	for i, p := range cur {
-		out[c.names[i]] = p
-	}
-	return out, nil
-}
-
-// StationaryDistribution computes π with πP = π, Σπ = 1 for an irreducible
-// chain (every state reachable from every state and no absorbing states).
-func (c *Chain) StationaryDistribution() (map[string]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(c.names)
-	if n == 0 {
-		return nil, errors.New("dtmc: chain has no states")
-	}
-	for i := range c.prob {
-		if len(c.prob[i]) == 0 {
-			return nil, fmt.Errorf("dtmc: state %q is absorbing; no stationary distribution over all states", c.names[i])
-		}
-	}
-	p, err := c.TransitionMatrix()
-	if err != nil {
-		return nil, err
-	}
-	// Solve (Pᵀ - I)π = 0 with last row replaced by Σπ = 1.
-	a := p.Transpose()
-	for i := 0; i < n; i++ {
-		a.Add(i, i, -1)
-	}
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	b := make([]float64, n)
-	b[n-1] = 1
-	pi, err := linalg.Solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("dtmc: stationary solve (chain irreducible?): %w", err)
-	}
-	out := make(map[string]float64, n)
-	for i, v := range pi {
-		if v < -1e-9 {
-			return nil, fmt.Errorf("dtmc: negative stationary probability %v for %q (chain not irreducible?)", v, c.names[i])
-		}
-		out[c.names[i]] = math.Max(v, 0)
-	}
-	return out, nil
 }

@@ -55,74 +55,6 @@ func TestIsAbsorbing(t *testing.T) {
 	}
 }
 
-func TestStationaryTwoState(t *testing.T) {
-	// a→b with 0.3, a→a 0.7; b→a 0.4, b→b 0.6. π_a = 0.4/0.7, π_b = 0.3/0.7.
-	c := New()
-	mustAdd(t, c, "a", "b", 0.3)
-	mustAdd(t, c, "a", "a", 0.7)
-	mustAdd(t, c, "b", "a", 0.4)
-	mustAdd(t, c, "b", "b", 0.6)
-	pi, err := c.StationaryDistribution()
-	if err != nil {
-		t.Fatalf("StationaryDistribution: %v", err)
-	}
-	if math.Abs(pi["a"]-4.0/7.0) > 1e-12 || math.Abs(pi["b"]-3.0/7.0) > 1e-12 {
-		t.Errorf("π = %v", pi)
-	}
-}
-
-func TestStationaryRejectsAbsorbing(t *testing.T) {
-	c := New()
-	mustAdd(t, c, "a", "b", 1)
-	if _, err := c.StationaryDistribution(); err == nil {
-		t.Error("chain with absorbing state accepted")
-	}
-}
-
-// Property: for random irreducible 3-state chains, the stationary
-// distribution satisfies πP = π.
-func TestStationaryFixedPointProperty(t *testing.T) {
-	f := func(raw [9]float64) bool {
-		c := New()
-		names := []string{"a", "b", "c"}
-		for i := 0; i < 3; i++ {
-			w := make([]float64, 3)
-			var sum float64
-			for j := 0; j < 3; j++ {
-				w[j] = math.Abs(math.Mod(raw[i*3+j], 10)) + 0.05
-				sum += w[j]
-			}
-			for j := 0; j < 3; j++ {
-				if err := c.AddTransition(names[i], names[j], w[j]/sum); err != nil {
-					return false
-				}
-			}
-		}
-		pi, err := c.StationaryDistribution()
-		if err != nil {
-			return false
-		}
-		p, err := c.TransitionMatrix()
-		if err != nil {
-			return false
-		}
-		vec := []float64{pi["a"], pi["b"], pi["c"]}
-		next, err := p.VecMul(vec)
-		if err != nil {
-			return false
-		}
-		for i := range vec {
-			if math.Abs(next[i]-vec[i]) > 1e-10 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // gambler builds the classic gambler's-ruin chain on 0..n with win prob p.
 func gambler(t *testing.T, n int, p float64) *Chain {
 	t.Helper()
@@ -306,98 +238,5 @@ func TestProbabilityLookup(t *testing.T) {
 	}
 	if _, err := c.Probability("a", "nope"); err == nil {
 		t.Error("unknown target accepted")
-	}
-}
-
-func TestStepDistribution(t *testing.T) {
-	c := New()
-	mustAdd(t, c, "a", "b", 1)
-	mustAdd(t, c, "b", "a", 0.5)
-	mustAdd(t, c, "b", "b", 0.5)
-	d0, err := c.StepDistribution(map[string]float64{"a": 1}, 0)
-	if err != nil {
-		t.Fatalf("StepDistribution: %v", err)
-	}
-	if d0["a"] != 1 {
-		t.Errorf("0 steps = %v", d0)
-	}
-	d1, err := c.StepDistribution(map[string]float64{"a": 1}, 1)
-	if err != nil {
-		t.Fatalf("StepDistribution: %v", err)
-	}
-	if d1["b"] != 1 {
-		t.Errorf("1 step = %v", d1)
-	}
-	d2, err := c.StepDistribution(map[string]float64{"a": 1}, 2)
-	if err != nil {
-		t.Fatalf("StepDistribution: %v", err)
-	}
-	if math.Abs(d2["a"]-0.5) > 1e-15 || math.Abs(d2["b"]-0.5) > 1e-15 {
-		t.Errorf("2 steps = %v", d2)
-	}
-}
-
-func TestStepDistributionAbsorbing(t *testing.T) {
-	c := New()
-	mustAdd(t, c, "a", "end", 0.5)
-	mustAdd(t, c, "a", "a", 0.5)
-	d, err := c.StepDistribution(map[string]float64{"a": 1}, 10)
-	if err != nil {
-		t.Fatalf("StepDistribution: %v", err)
-	}
-	// P(still in a) = 0.5^10; the rest absorbed.
-	if math.Abs(d["a"]-math.Pow(0.5, 10)) > 1e-15 {
-		t.Errorf("P(a) = %v", d["a"])
-	}
-	if math.Abs(d["end"]-(1-math.Pow(0.5, 10))) > 1e-15 {
-		t.Errorf("P(end) = %v", d["end"])
-	}
-}
-
-func TestStepDistributionValidation(t *testing.T) {
-	c := New()
-	mustAdd(t, c, "a", "b", 1)
-	if _, err := c.StepDistribution(map[string]float64{"a": 0.5}, 1); err == nil {
-		t.Error("bad initial accepted")
-	}
-	if _, err := c.StepDistribution(map[string]float64{"a": 1}, -1); err == nil {
-		t.Error("negative steps accepted")
-	}
-	if _, err := c.StepDistribution(map[string]float64{"ghost": 1}, 1); err == nil {
-		t.Error("unknown state accepted")
-	}
-}
-
-// Property: after many steps the step distribution of an irreducible chain
-// approaches the stationary distribution.
-func TestStepConvergesToStationaryProperty(t *testing.T) {
-	f := func(raw [4]float64) bool {
-		c := New()
-		p1 := 0.1 + 0.8*math.Abs(math.Mod(raw[0], 1))
-		p2 := 0.1 + 0.8*math.Abs(math.Mod(raw[1], 1))
-		if err := c.AddTransition("a", "b", p1); err != nil {
-			return false
-		}
-		if err := c.AddTransition("a", "a", 1-p1); err != nil {
-			return false
-		}
-		if err := c.AddTransition("b", "a", p2); err != nil {
-			return false
-		}
-		if err := c.AddTransition("b", "b", 1-p2); err != nil {
-			return false
-		}
-		pi, err := c.StationaryDistribution()
-		if err != nil {
-			return false
-		}
-		d, err := c.StepDistribution(map[string]float64{"a": 1}, 500)
-		if err != nil {
-			return false
-		}
-		return math.Abs(d["a"]-pi["a"]) < 1e-6 && math.Abs(d["b"]-pi["b"]) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }

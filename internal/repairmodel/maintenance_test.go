@@ -188,7 +188,11 @@ func TestMeanTimeToFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToCTMC: %v", err)
 	}
-	times, err := chain.MeanTimeToAbsorption("0")
+	cc, err := chain.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	times, err := cc.MeanTimeToAbsorption("0")
 	if err != nil {
 		t.Fatalf("MeanTimeToAbsorption: %v", err)
 	}

@@ -1,8 +1,8 @@
-// Package sensitivity provides the parameter-study machinery behind the
-// paper's §5: one-dimensional sweeps (Figures 11–12, Table 8), full grids,
-// numerical elasticities (which formalize the paper's observation that the
-// LAN/net/web-service availabilities act at first order while the others are
-// second order), and tornado analyses over parameter ranges.
+// Package sensitivity provides the one-at-a-time sensitivity measures of
+// the paper's §5: numerical elasticities (which formalize the paper's
+// observation that the LAN/net/web-service availabilities act at first order
+// while the others are second order) and tornado analyses over parameter
+// ranges.
 package sensitivity
 
 import (
@@ -10,120 +10,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/sweep"
 )
 
 // ErrParam is returned for invalid study specifications.
 var ErrParam = errors.New("sensitivity: invalid parameter")
-
-// Point is one evaluated sample of a sweep or grid.
-type Point struct {
-	// Values maps parameter names to the values used.
-	Values map[string]float64
-	// Result is the model output at those values.
-	Result float64
-}
-
-// Sweep1D evaluates the model at each value of one parameter, sequentially.
-func Sweep1D(name string, values []float64, eval func(float64) (float64, error)) ([]Point, error) {
-	return Sweep1DParallel(name, values, eval, 1)
-}
-
-// Sweep1DParallel is Sweep1D evaluated by the sweep engine's worker pool
-// (workers ≤ 0 selects GOMAXPROCS). The evaluator must be safe for
-// concurrent use when workers ≠ 1; results are returned in value order
-// either way and are identical to the sequential sweep.
-func Sweep1DParallel(name string, values []float64, eval func(float64) (float64, error), workers int) ([]Point, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("%w: sweep needs a name, values and an evaluator", ErrParam)
-	}
-	return Sweep1DScratch(name, values,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, v float64) (float64, error) { return eval(v) },
-		workers)
-}
-
-// Sweep1DScratch is Sweep1DParallel with a per-worker scratch value:
-// newScratch runs once per worker and its result is handed to every
-// evaluation that worker performs. This is the hook through which a
-// single-parameter perturbation study reuses frozen model structures — a
-// compiled CTMC with rate refreshes, a frozen GSPN reachability graph, a
-// hierarchy workspace — instead of rebuilding them per point, while keeping
-// results identical to the sequential sweep for any worker count.
-func Sweep1DScratch[S any](name string, values []float64, newScratch func() S, eval func(S, float64) (float64, error), workers int) ([]Point, error) {
-	if name == "" || len(values) == 0 || eval == nil || newScratch == nil {
-		return nil, fmt.Errorf("%w: sweep needs a name, values and an evaluator", ErrParam)
-	}
-	return sweep.RunScratch(values, newScratch, func(s S, v float64) (Point, error) {
-		r, err := eval(s, v)
-		if err != nil {
-			return Point{}, fmt.Errorf("sensitivity: %s = %v: %w", name, v, err)
-		}
-		return Point{Values: map[string]float64{name: v}, Result: r}, nil
-	}, sweep.Options{Workers: workers})
-}
-
-// Param is one axis of a grid study.
-type Param struct {
-	Name   string
-	Values []float64
-}
-
-// Grid evaluates the model over the Cartesian product of the parameter
-// axes, sequentially, in row-major order (last axis fastest).
-func Grid(params []Param, eval func(map[string]float64) (float64, error)) ([]Point, error) {
-	return GridParallel(params, eval, 1)
-}
-
-// GridParallel is Grid evaluated by the sweep engine's worker pool
-// (workers ≤ 0 selects GOMAXPROCS). The evaluator must be safe for
-// concurrent use when workers ≠ 1; results keep row-major order (last axis
-// fastest) and are identical to the sequential grid.
-func GridParallel(params []Param, eval func(map[string]float64) (float64, error), workers int) ([]Point, error) {
-	if len(params) == 0 || eval == nil {
-		return nil, fmt.Errorf("%w: grid needs parameters and an evaluator", ErrParam)
-	}
-	total := 1
-	for _, p := range params {
-		if p.Name == "" || len(p.Values) == 0 {
-			return nil, fmt.Errorf("%w: axis %q has no values", ErrParam, p.Name)
-		}
-		total *= len(p.Values)
-		if total > 1_000_000 {
-			return nil, fmt.Errorf("%w: grid larger than 1e6 points", ErrParam)
-		}
-	}
-	// Materialize the grid points with a mixed-radix counter, then hand the
-	// evaluation to the worker pool.
-	points := make([]map[string]float64, 0, total)
-	idx := make([]int, len(params))
-	for {
-		vals := make(map[string]float64, len(params))
-		for i, p := range params {
-			vals[p.Name] = p.Values[idx[i]]
-		}
-		points = append(points, vals)
-		i := len(params) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(params[i].Values) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	return sweep.Run(points, func(vals map[string]float64) (Point, error) {
-		r, err := eval(vals)
-		if err != nil {
-			return Point{}, fmt.Errorf("sensitivity: %v: %w", vals, err)
-		}
-		return Point{Values: vals, Result: r}, nil
-	}, sweep.Options{Workers: workers})
-}
 
 // Elasticity estimates the relative sensitivity (∂R/∂p)·(p/R) by central
 // finite differences with relative step relStep (default 1e-4 when ≤ 0).

@@ -1,165 +1,9 @@
 package sensitivity
 
 import (
-	"errors"
 	"math"
-	"sync"
 	"testing"
 )
-
-func TestSweep1D(t *testing.T) {
-	pts, err := Sweep1D("x", []float64{1, 2, 3}, func(x float64) (float64, error) { return x * x, nil })
-	if err != nil {
-		t.Fatalf("Sweep1D: %v", err)
-	}
-	if len(pts) != 3 || pts[2].Result != 9 || pts[2].Values["x"] != 3 {
-		t.Errorf("pts = %+v", pts)
-	}
-	if _, err := Sweep1D("", []float64{1}, nil); err == nil {
-		t.Error("invalid sweep accepted")
-	}
-	wantErr := errors.New("boom")
-	if _, err := Sweep1D("x", []float64{1}, func(float64) (float64, error) { return 0, wantErr }); !errors.Is(err, wantErr) {
-		t.Errorf("error not propagated: %v", err)
-	}
-}
-
-func TestGrid(t *testing.T) {
-	pts, err := Grid([]Param{
-		{Name: "a", Values: []float64{1, 2}},
-		{Name: "b", Values: []float64{10, 20, 30}},
-	}, func(v map[string]float64) (float64, error) { return v["a"] + v["b"], nil })
-	if err != nil {
-		t.Fatalf("Grid: %v", err)
-	}
-	if len(pts) != 6 {
-		t.Fatalf("got %d points, want 6", len(pts))
-	}
-	// Row-major: last axis fastest.
-	if pts[0].Result != 11 || pts[1].Result != 21 || pts[3].Result != 12 {
-		t.Errorf("order wrong: %+v", pts[:4])
-	}
-	if _, err := Grid(nil, nil); err == nil {
-		t.Error("empty grid accepted")
-	}
-	if _, err := Grid([]Param{{Name: "a"}}, func(map[string]float64) (float64, error) { return 0, nil }); err == nil {
-		t.Error("axis without values accepted")
-	}
-}
-
-// TestSweep1DParallelEquivalence requires the parallel sweep to return
-// bit-identical points in identical order to the sequential one.
-func TestSweep1DParallelEquivalence(t *testing.T) {
-	values := make([]float64, 50)
-	for i := range values {
-		values[i] = 0.5 + float64(i)*0.1
-	}
-	eval := func(x float64) (float64, error) { return math.Exp(-x) * math.Sin(x), nil }
-	serial, err := Sweep1D("x", values, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		par, err := Sweep1DParallel("x", values, eval, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if par[i].Result != serial[i].Result || par[i].Values["x"] != serial[i].Values["x"] {
-				t.Fatalf("workers=%d: point %d = %+v, want %+v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
-// TestSweep1DScratch checks the per-worker scratch hook: scratches are
-// created once per worker, reused across that worker's points, and the
-// results match the scratch-free sweep bit for bit.
-func TestSweep1DScratch(t *testing.T) {
-	values := make([]float64, 40)
-	for i := range values {
-		values[i] = 1 + float64(i)*0.25
-	}
-	eval := func(x float64) (float64, error) { return math.Exp(-x) * math.Cos(x), nil }
-	serial, err := Sweep1D("x", values, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		var mu sync.Mutex
-		created := 0
-		pts, err := Sweep1DScratch("x", values,
-			func() *[]float64 {
-				mu.Lock()
-				created++
-				mu.Unlock()
-				buf := make([]float64, 0, len(values))
-				return &buf
-			},
-			func(buf *[]float64, x float64) (float64, error) {
-				*buf = append(*buf, x) // the reused workspace stand-in
-				return eval(x)
-			},
-			workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if created != workers {
-			t.Errorf("workers=%d: %d scratches created, want one per worker", workers, created)
-		}
-		for i := range serial {
-			if pts[i].Result != serial[i].Result || pts[i].Values["x"] != serial[i].Values["x"] {
-				t.Fatalf("workers=%d: point %d = %+v, want %+v", workers, i, pts[i], serial[i])
-			}
-		}
-	}
-	if _, err := Sweep1DScratch("x", values, (func() int)(nil),
-		func(int, float64) (float64, error) { return 0, nil }, 1); err == nil {
-		t.Error("nil newScratch accepted")
-	}
-}
-
-// TestGridParallelEquivalence does the same for the Cartesian grid,
-// checking row-major order survives the worker pool.
-func TestGridParallelEquivalence(t *testing.T) {
-	params := []Param{
-		{Name: "a", Values: []float64{1, 2, 3, 4}},
-		{Name: "b", Values: []float64{10, 20, 30}},
-		{Name: "c", Values: []float64{0.1, 0.2}},
-	}
-	eval := func(v map[string]float64) (float64, error) {
-		return v["a"]*100 + v["b"] + v["c"], nil
-	}
-	serial, err := Grid(params, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := GridParallel(params, eval, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) {
-		t.Fatalf("%d points, want %d", len(par), len(serial))
-	}
-	for i := range serial {
-		if par[i].Result != serial[i].Result {
-			t.Fatalf("point %d: %v != %v", i, par[i].Result, serial[i].Result)
-		}
-		for k, v := range serial[i].Values {
-			if par[i].Values[k] != v {
-				t.Fatalf("point %d: %s = %v, want %v", i, k, par[i].Values[k], v)
-			}
-		}
-	}
-	// Errors propagate through the pool.
-	boom := errors.New("boom")
-	if _, err := GridParallel(params, func(map[string]float64) (float64, error) { return 0, boom }, 4); !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-}
 
 func TestElasticityPowerLaw(t *testing.T) {
 	// R = p³ has elasticity exactly 3 everywhere.

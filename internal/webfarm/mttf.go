@@ -3,7 +3,6 @@ package webfarm
 import (
 	"fmt"
 
-	"repro/internal/ctmc"
 	"repro/internal/repairmodel"
 )
 
@@ -19,11 +18,6 @@ func (f Farm) MeanTimeToOutage() (float64, error) {
 	if err := f.check(); err != nil {
 		return 0, err
 	}
-	var (
-		chain   *ctmc.Chain
-		err     error
-		targets []string
-	)
 	if f.Coverage == 1 {
 		// Use the closed birth–death recursion: the generic linear solve
 		// loses all precision once the MTTF exceeds ~1e15 time units.
@@ -32,21 +26,23 @@ func (f Farm) MeanTimeToOutage() (float64, error) {
 		}
 		return m.MeanTimeToFailure()
 	}
-	{
-		m := repairmodel.ImperfectCoverage{
-			Servers: f.Servers, FailureRate: f.FailureRate, RepairRate: f.RepairRate,
-			Coverage: f.Coverage, ReconfigRate: f.ReconfigRate,
-		}
-		chain, err = m.ToCTMC()
-		targets = []string{"0"}
-		for i := 1; i <= f.Servers; i++ {
-			targets = append(targets, fmt.Sprintf("y%d", i))
-		}
+	m := repairmodel.ImperfectCoverage{
+		Servers: f.Servers, FailureRate: f.FailureRate, RepairRate: f.RepairRate,
+		Coverage: f.Coverage, ReconfigRate: f.ReconfigRate,
 	}
+	chain, err := m.ToCTMC()
 	if err != nil {
 		return 0, err
 	}
-	times, err := chain.MeanTimeToAbsorption(targets...)
+	cc, err := chain.Compile()
+	if err != nil {
+		return 0, err
+	}
+	targets := []string{"0"}
+	for i := 1; i <= f.Servers; i++ {
+		targets = append(targets, fmt.Sprintf("y%d", i))
+	}
+	times, err := cc.MeanTimeToAbsorption(targets...)
 	if err != nil {
 		return 0, err
 	}
