@@ -353,10 +353,7 @@ func runFirstYear(w io.Writer, csv bool) error {
 		if err != nil {
 			return err
 		}
-		var ssDown float64
-		for s := range down {
-			ssDown += dist.Probability(s)
-		}
+		ssDown := dist.SumOver(func(s string) bool { return down[s] })
 		if err := tbl.AddRow(cfg.label,
 			report.Fixed(yearHours-upTime, 3),
 			report.Fixed(ssDown*yearHours, 3),

@@ -125,22 +125,33 @@ type Distribution map[string]float64
 // Probability returns the probability of the named state (zero if absent).
 func (d Distribution) Probability(name string) float64 { return d[name] }
 
-// SumOver returns the total probability of the states selected by keep.
+// SumOver returns the total probability of the states selected by keep,
+// summed in state-name order so the result does not depend on map order.
 func (d Distribution) SumOver(keep func(name string) bool) float64 {
 	var s float64
-	for name, p := range d {
+	for _, name := range d.sortedNames() {
 		if keep(name) {
-			s += p
+			s += d[name]
 		}
 	}
 	return s
 }
 
-// ExpectedReward returns Σ_s π(s)·reward(s).
+// ExpectedReward returns Σ_s π(s)·reward(s), summed in state-name order.
 func (d Distribution) ExpectedReward(reward func(name string) float64) float64 {
 	var s float64
-	for name, p := range d {
-		s += p * reward(name)
+	for _, name := range d.sortedNames() {
+		s += d[name] * reward(name)
 	}
 	return s
+}
+
+// sortedNames returns the distribution's state names in sorted order.
+func (d Distribution) sortedNames() []string {
+	names := make([]string, 0, len(d))
+	for name := range d {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

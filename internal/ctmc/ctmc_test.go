@@ -223,11 +223,11 @@ func TestSteadyStateBalanceProperty(t *testing.T) {
 		for i, s := range names {
 			vec[i] = pi.Probability(s)
 		}
-		bal, err := q.VecMul(vec)
-		if err != nil {
-			return false
-		}
-		for _, b := range bal {
+		for j := range vec {
+			var b float64
+			for i, v := range vec {
+				b += v * q.At(i, j)
+			}
 			if math.Abs(b) > 1e-10 {
 				return false
 			}

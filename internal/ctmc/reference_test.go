@@ -176,7 +176,12 @@ func (c *Chain) SteadyStateLU() (Distribution, error) {
 		return nil, err
 	}
 	// Solve Qᵀπ = 0 with the last equation replaced by Σπ = 1.
-	a := q.Transpose()
+	a := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(j, i, q.At(i, j))
+		}
+	}
 	for j := 0; j < n; j++ {
 		a.Set(n-1, j, 1)
 	}

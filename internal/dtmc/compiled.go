@@ -306,8 +306,8 @@ func (cc *Compiled) AnalyzeInto(prev *CompiledAnalysis) (*CompiledAnalysis, erro
 		}
 	}
 
-	// N = (I−Q)⁻¹ via Refactor + per-column SolveInto, replicating
-	// linalg.Inverse (Factor + unit-vector solves) without its allocations.
+	// N = (I−Q)⁻¹ via Refactor + per-column SolveInto: one factorization
+	// and one unit-vector solve per column, into the workspace.
 	if err := ws.lu.Refactor(iq); err != nil {
 		return nil, fmt.Errorf("dtmc: fundamental matrix (some transient state cannot reach absorption): %w", err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds the generic absorbing-chain solver over the map-based
-// Chain: one linalg.Inverse for the fundamental matrix and one dense N·R
-// product. Production code solves through Compile; the tests and
+// Chain: one LU factorization and t unit-vector solves for the fundamental
+// matrix and one dense N·R product. Production code solves through Compile; the tests and
 // FuzzCompiledDTMC check the compiled kernel against this reference bit for
 // bit.
 
@@ -60,7 +60,10 @@ func (c *Chain) AnalyzeAbsorbing() (*AbsorbingAnalysis, error) {
 		return a, nil
 	}
 	// I - Q over the transient block.
-	iq := linalg.Identity(t)
+	iq := linalg.NewMatrix(t, t)
+	for r := 0; r < t; r++ {
+		iq.Set(r, r, 1)
+	}
 	for r, i := range a.transient {
 		for j, p := range c.prob[i] {
 			if col, ok := a.posT[j]; ok {
@@ -68,9 +71,24 @@ func (c *Chain) AnalyzeAbsorbing() (*AbsorbingAnalysis, error) {
 			}
 		}
 	}
-	fund, err := linalg.Inverse(iq)
+	// N = (I−Q)⁻¹ column by column: one factorization, one unit-vector
+	// solve per column.
+	lu, err := linalg.Factor(iq)
 	if err != nil {
 		return nil, fmt.Errorf("dtmc: fundamental matrix (some transient state cannot reach absorption): %w", err)
+	}
+	fund := linalg.NewMatrix(t, t)
+	e := make([]float64, t)
+	for j := 0; j < t; j++ {
+		clear(e)
+		e[j] = 1
+		col, err := lu.Solve(e)
+		if err != nil {
+			return nil, fmt.Errorf("dtmc: fundamental matrix (some transient state cannot reach absorption): %w", err)
+		}
+		for i, v := range col {
+			fund.Set(i, j, v)
+		}
 	}
 	// Sanity: expected visit counts must be non-negative.
 	for r := 0; r < t; r++ {
@@ -91,9 +109,17 @@ func (c *Chain) AnalyzeAbsorbing() (*AbsorbingAnalysis, error) {
 			}
 		}
 	}
-	b, err := fund.Mul(r)
-	if err != nil {
-		return nil, err
+	b := linalg.NewMatrix(t, len(a.absorbing))
+	for i := 0; i < t; i++ {
+		for k := 0; k < t; k++ {
+			nik := fund.At(i, k)
+			if nik == 0 {
+				continue
+			}
+			for j := 0; j < len(a.absorbing); j++ {
+				b.Add(i, j, nik*r.At(k, j))
+			}
+		}
 	}
 	a.absorbProb = b
 	return a, nil

@@ -24,10 +24,12 @@
 //
 // The decomposition is compiled once per model structure. Services are
 // interned to indices, so an evaluation runs over a []float64 of service
-// availabilities. A service is essential to a scenario when some invoked
-// function requires it on every branch: the scenario fails whenever it is
-// down, so it multiplies straight out of the sum, and only the k remaining
-// free services are enumerated:
+// availabilities: EvaluateVector takes that vector directly, in declaration
+// order, and Evaluate and EvaluateWith first resolve it from the services'
+// values, evaluators and overrides. A service is essential to a scenario
+// when some invoked function requires it on every branch: the scenario
+// fails whenever it is down, so it multiplies straight out of the sum, and
+// only the k remaining free services are enumerated:
 //
 //	A(scenario) = Π A(essential) · Σ over the 2^k free-service states.
 //
@@ -55,8 +57,9 @@ var ErrModel = errors.New("hierarchy: invalid model")
 const maxScenarioServices = 20
 
 // Model is a four-level availability model under construction. Evaluate,
-// EvaluateWith and ServiceImportances are safe for concurrent use with each
-// other; the mutators (Add*, Set*) must not run concurrently with anything.
+// EvaluateVector, EvaluateWith and ServiceImportances are safe for
+// concurrent use with each other; the mutators (Add*, Set*) must not run
+// concurrently with anything.
 type Model struct {
 	services  []service // declaration order
 	svcIndex  map[string]int
@@ -293,29 +296,51 @@ func NewWorkspace() *Workspace {
 	return &Workspace{}
 }
 
+// ServiceNames returns the declared services in declaration order: the
+// order of EvaluateVector's argument.
+func (m *Model) ServiceNames() []string {
+	names := make([]string, len(m.services))
+	for i, s := range m.services {
+		names[i] = s.name
+	}
+	return names
+}
+
 // Evaluate computes service, function, scenario and user availabilities.
 func (m *Model) Evaluate() (*Report, error) {
-	return m.EvaluateWorkspace(nil)
+	avail, err := m.resolve(nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.EvaluateVector(avail)
 }
 
 // EvaluateWorkspace is Evaluate with caller-owned scratch: a worker reusing
 // one Workspace across many evaluations does not reallocate the service
-// vector. A nil workspace allocates a fresh one.
+// vector. A nil workspace is Evaluate.
 func (m *Model) EvaluateWorkspace(ws *Workspace) (*Report, error) {
 	if ws == nil {
-		ws = NewWorkspace()
+		return m.Evaluate()
 	}
-	return m.evaluate(ws, nil)
+	avail, err := m.resolve(ws.avail, nil)
+	if err != nil {
+		return nil, err
+	}
+	ws.avail = avail
+	return m.EvaluateVector(avail)
 }
 
-// evaluate is the evaluation core. Services named in overrides take the
-// given availability without calling their evaluators; the patched vector
-// lives in ws, and the model is never mutated.
-func (m *Model) evaluate(ws *Workspace, overrides map[string]float64) (*Report, error) {
+// resolve writes every service's availability into dst[:0] in declaration
+// order: the override when overrides names the service, else its
+// evaluator's result or its fixed value. The model is never mutated.
+func (m *Model) resolve(dst []float64, overrides map[string]float64) ([]float64, error) {
 	if len(m.scenarios) == 0 {
 		return nil, fmt.Errorf("%w: no user scenarios installed", ErrModel)
 	}
-	avail := ws.avail[:0]
+	avail := dst[:0]
+	if cap(avail) < len(m.services) {
+		avail = make([]float64, 0, len(m.services))
+	}
 	for _, s := range m.services {
 		a, ok := overrides[s.name]
 		switch {
@@ -333,7 +358,27 @@ func (m *Model) evaluate(ws *Workspace, overrides map[string]float64) (*Report, 
 		}
 		avail = append(avail, a)
 	}
-	ws.avail = avail
+	return avail, nil
+}
+
+// EvaluateVector evaluates the model with the given service availabilities,
+// one per declared service in declaration order (ServiceNames); configured
+// values and evaluators are not consulted. It is the evaluation core that
+// Evaluate, EvaluateWorkspace and EvaluateWith resolve their vectors for.
+// avail is only read, never retained, and the model is never mutated, so
+// EvaluateVector may run concurrently with the other evaluations.
+func (m *Model) EvaluateVector(avail []float64) (*Report, error) {
+	if len(m.scenarios) == 0 {
+		return nil, fmt.Errorf("%w: no user scenarios installed", ErrModel)
+	}
+	if len(avail) != len(m.services) {
+		return nil, fmt.Errorf("%w: %d service availabilities for %d services", ErrModel, len(avail), len(m.services))
+	}
+	for i, a := range avail {
+		if !validAvailability(a) {
+			return nil, fmt.Errorf("%w: service %q availability %v", ErrModel, m.services[i].name, a)
+		}
+	}
 	prog, err := m.program()
 	if err != nil {
 		return nil, err

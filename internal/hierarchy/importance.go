@@ -9,7 +9,8 @@ import (
 // overridden — the "what if we hardened X" question. Services absent from
 // overrides keep their configured evaluators. The overrides only patch the
 // availability vector of this evaluation; the model itself is never
-// modified, so EvaluateWith may run concurrently with Evaluate.
+// modified, so EvaluateWith may run concurrently with Evaluate. It resolves
+// the vector and hands it to EvaluateVector.
 func (m *Model) EvaluateWith(overrides map[string]float64) (*Report, error) {
 	for svc, a := range overrides {
 		if _, ok := m.svcIndex[svc]; !ok {
@@ -19,7 +20,11 @@ func (m *Model) EvaluateWith(overrides map[string]float64) (*Report, error) {
 			return nil, fmt.Errorf("%w: override availability %v for %q", ErrModel, a, svc)
 		}
 	}
-	return m.evaluate(NewWorkspace(), overrides)
+	avail, err := m.resolve(nil, overrides)
+	if err != nil {
+		return nil, err
+	}
+	return m.EvaluateVector(avail)
 }
 
 // ServiceImportance is the user-level Birnbaum importance of one service:

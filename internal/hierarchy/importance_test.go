@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -89,5 +90,42 @@ func TestServiceImportances(t *testing.T) {
 	wantRR := 0.05 * 0.96
 	if math.Abs(imps[0].RiskReduction-wantRR) > 1e-12 {
 		t.Errorf("WS risk reduction = %v, want %v", imps[0].RiskReduction, wantRR)
+	}
+}
+
+// TestEvaluateVector checks the vector entry point against EvaluateWith bit
+// for bit, its argument checks, and that it leaves its argument alone.
+func TestEvaluateVector(t *testing.T) {
+	m := importanceModel(t)
+	if names := m.ServiceNames(); len(names) != 2 || names[0] != "WS" || names[1] != "DB" {
+		t.Fatalf("ServiceNames = %v, want [WS DB]", names)
+	}
+	avail := []float64{0.99, 0.7}
+	got, err := m.EvaluateVector(avail)
+	if err != nil {
+		t.Fatalf("EvaluateVector: %v", err)
+	}
+	want, err := m.EvaluateWith(map[string]float64{"WS": 0.99, "DB": 0.7})
+	if err != nil {
+		t.Fatalf("EvaluateWith: %v", err)
+	}
+	if math.Float64bits(got.UserAvailability) != math.Float64bits(want.UserAvailability) {
+		t.Errorf("EvaluateVector %v, EvaluateWith %v", got.UserAvailability, want.UserAvailability)
+	}
+	for name, a := range want.Functions {
+		if math.Float64bits(got.Functions[name]) != math.Float64bits(a) {
+			t.Errorf("function %s: %v, want %v", name, got.Functions[name], a)
+		}
+	}
+	if got.Services["WS"] != 0.99 || got.Services["DB"] != 0.7 || avail[0] != 0.99 || avail[1] != 0.7 {
+		t.Errorf("services %v from argument %v", got.Services, avail)
+	}
+	for _, bad := range [][]float64{nil, {0.9}, {0.9, 0.9, 0.9}, {0.9, -0.1}, {1.5, 0.9}, {math.NaN(), 0.9}} {
+		if _, err := m.EvaluateVector(bad); !errors.Is(err, ErrModel) {
+			t.Errorf("EvaluateVector(%v) error %v, want ErrModel", bad, err)
+		}
+	}
+	if _, err := New().EvaluateVector(nil); !errors.Is(err, ErrModel) {
+		t.Errorf("EvaluateVector without scenarios: %v, want ErrModel", err)
 	}
 }

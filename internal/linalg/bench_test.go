@@ -32,28 +32,3 @@ func BenchmarkSolve50(b *testing.B) {
 		benchSink += x[0]
 	}
 }
-
-func BenchmarkInverse50(b *testing.B) {
-	a, _ := benchMatrix(50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inv, err := Inverse(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += inv.At(0, 0)
-	}
-}
-
-func BenchmarkMatMul50(b *testing.B) {
-	a, _ := benchMatrix(50)
-	c, _ := benchMatrix(50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := a.Mul(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += p.At(0, 0)
-	}
-}

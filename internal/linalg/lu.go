@@ -149,15 +149,6 @@ func (f *LU) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	det := float64(f.sign)
-	for i := 0; i < f.lu.Rows(); i++ {
-		det *= f.lu.At(i, i)
-	}
-	return det
-}
-
 // Solve solves the linear system a·x = b.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)
@@ -165,29 +156,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns the inverse of a, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

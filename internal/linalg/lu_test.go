@@ -65,9 +65,6 @@ func TestRefactorMatchesFactor(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %v vs %v (must be bit-identical)", trial, i, x[i], want[i])
 			}
 		}
-		if fresh.Det() != ws.Det() {
-			t.Fatalf("trial %d: det mismatch", trial)
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -52,15 +51,6 @@ func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -96,154 +86,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: column %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m·other.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.cols != other.rows {
-		return nil, fmt.Errorf("%w: %dx%d times %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := NewMatrix(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			rowK := other.data[k*other.cols : (k+1)*other.cols]
-			outRow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, b := range rowK {
-				outRow[j] += a * b
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.cols != len(x) {
-		return nil, fmt.Errorf("%w: %dx%d times vector of length %d", ErrDimension, m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// VecMul returns the vector-matrix product xᵀ·m as a vector.
-func (m *Matrix) VecMul(x []float64) ([]float64, error) {
-	if m.rows != len(x) {
-		return nil, fmt.Errorf("%w: vector of length %d times %dx%d", ErrDimension, len(x), m.rows, m.cols)
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, a := range row {
-			out[j] += xi * a
-		}
-	}
-	return out, nil
-}
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix returns m + other.
-func (m *Matrix) AddMatrix(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d plus %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// SubMatrix returns m - other.
-func (m *Matrix) SubMatrix(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d minus %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] -= v
-	}
-	return out, nil
-}
-
-// MaxAbs returns the largest absolute element value (the max norm).
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// InfNorm returns the maximum absolute row sum.
-func (m *Matrix) InfNorm() float64 {
-	var max float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += math.Abs(v)
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

@@ -32,21 +32,6 @@ func TestNewMatrixFromRowsRagged(t *testing.T) {
 	}
 }
 
-func TestIdentity(t *testing.T) {
-	id := Identity(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if got := id.At(i, j); got != want {
-				t.Errorf("I(%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-}
-
 func TestMatrixSetAddClone(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 1, 5)
@@ -58,115 +43,6 @@ func TestMatrixSetAddClone(t *testing.T) {
 	c.Set(0, 1, 99)
 	if got := m.At(0, 1); got != 7 {
 		t.Fatalf("Clone aliases the original: At(0,1) = %v, want 7", got)
-	}
-}
-
-func TestMatrixRowCol(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	row := m.Row(1)
-	if row[0] != 4 || row[2] != 6 {
-		t.Errorf("Row(1) = %v", row)
-	}
-	col := m.Col(2)
-	if col[0] != 3 || col[1] != 6 {
-		t.Errorf("Col(2) = %v", col)
-	}
-	// Row/Col must return copies.
-	row[0] = 100
-	col[0] = 100
-	if m.At(1, 0) != 4 || m.At(0, 2) != 3 {
-		t.Error("Row/Col returned views, want copies")
-	}
-}
-
-func TestMatrixTranspose(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("transpose shape = %dx%d, want 3x2", tr.Rows(), tr.Cols())
-	}
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	p, err := a.Mul(b)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if p.At(i, j) != want[i][j] {
-				t.Errorf("product(%d,%d) = %v, want %v", i, j, p.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMatrixMulDimensionError(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := a.Mul(b); err == nil {
-		t.Fatal("expected dimension error")
-	}
-}
-
-func TestMulVecAndVecMul(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := m.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatalf("MulVec: %v", err)
-	}
-	if y[0] != 3 || y[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", y)
-	}
-	z, err := m.VecMul([]float64{1, 1})
-	if err != nil {
-		t.Fatalf("VecMul: %v", err)
-	}
-	if z[0] != 4 || z[1] != 6 {
-		t.Errorf("VecMul = %v, want [4 6]", z)
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{4, 3}, {2, 1}})
-	s, err := a.AddMatrix(b)
-	if err != nil {
-		t.Fatalf("AddMatrix: %v", err)
-	}
-	if s.At(0, 0) != 5 || s.At(1, 1) != 5 {
-		t.Errorf("sum = %v", s)
-	}
-	d, err := a.SubMatrix(b)
-	if err != nil {
-		t.Fatalf("SubMatrix: %v", err)
-	}
-	if d.At(0, 0) != -3 || d.At(1, 1) != 3 {
-		t.Errorf("diff = %v", d)
-	}
-	a.Scale(2)
-	if a.At(1, 1) != 8 {
-		t.Errorf("Scale: At(1,1) = %v, want 8", a.At(1, 1))
-	}
-}
-
-func TestNorms(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, -5}, {2, 2}})
-	if got := m.MaxAbs(); got != 5 {
-		t.Errorf("MaxAbs = %v, want 5", got)
-	}
-	if got := m.InfNorm(); got != 6 {
-		t.Errorf("InfNorm = %v, want 6", got)
 	}
 }
 
@@ -207,36 +83,6 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	}
 }
 
-func TestDeterminant(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{4, 3}, {6, 3}})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatalf("Factor: %v", err)
-	}
-	if got := f.Det(); !almostEqual(got, -6, 1e-12) {
-		t.Errorf("Det = %v, want -6", got)
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatalf("Inverse: %v", err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	diff, err := prod.SubMatrix(Identity(2))
-	if err != nil {
-		t.Fatalf("SubMatrix: %v", err)
-	}
-	if diff.MaxAbs() > 1e-12 {
-		t.Errorf("A·A⁻¹ deviates from I by %v", diff.MaxAbs())
-	}
-}
-
 // Property: for random well-conditioned diagonally dominant systems,
 // Solve produces x with small residual A·x - b.
 func TestSolveResidualProperty(t *testing.T) {
@@ -266,12 +112,12 @@ func TestSolveResidualProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ax, err := a.MulVec(x)
-		if err != nil {
-			return false
-		}
 		for i := range b {
-			if math.Abs(ax[i]-b[i]) > 1e-9 {
+			var ax float64
+			for j, xj := range x {
+				ax += a.At(i, j) * xj
+			}
+			if math.Abs(ax-b[i]) > 1e-9 {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package travelagency
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hierarchy"
 	"repro/internal/sweep"
@@ -11,32 +12,42 @@ import (
 // ServiceAvailabilities computes every TA service availability from the
 // parameters: Tables 3, 4 and 5 of the paper in one map.
 func ServiceAvailabilities(p Params) (map[string]float64, error) {
-	return serviceAvailabilities(p, nil)
-}
-
-func serviceAvailabilities(p Params, comp *webfarm.Composer) (map[string]float64, error) {
-	if err := p.Validate(); err != nil {
+	avail, err := serviceAvailabilities(p, nil)
+	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, 9)
-	out[SvcInternet] = p.NetAvailability
-	out[SvcLAN] = p.LANAvailability
-	out[SvcPayment] = p.PaymentAvailability
+	out := make(map[string]float64, numServices)
+	for i, name := range serviceNames {
+		out[name] = avail[i]
+	}
+	return out, nil
+}
+
+// serviceAvailabilities computes Tables 3–5 into a vector in serviceNames
+// order, the web-farm solve routed through comp when non-nil.
+func serviceAvailabilities(p Params, comp *webfarm.Composer) ([numServices]float64, error) {
+	var out [numServices]float64
+	if err := p.Validate(); err != nil {
+		return out, err
+	}
+	out[idxInternet] = p.NetAvailability
+	out[idxLAN] = p.LANAvailability
+	out[idxPayment] = p.PaymentAvailability
 
 	// Table 3: external reservation services are 1-of-N parallel groups.
-	out[SvcFlight] = oneOfN(p.FlightSystems, p.FlightSystemAvailability)
-	out[SvcHotel] = oneOfN(p.HotelSystems, p.HotelSystemAvailability)
-	out[SvcCar] = oneOfN(p.CarSystems, p.CarSystemAvailability)
+	out[idxFlight] = oneOfN(p.FlightSystems, p.FlightSystemAvailability)
+	out[idxHotel] = oneOfN(p.HotelSystems, p.HotelSystemAvailability)
+	out[idxCar] = oneOfN(p.CarSystems, p.CarSystemAvailability)
 
 	// Table 4: application and database services. The redundant DB service
 	// is a 1-of-2 host group in series with a 1-of-2 mirrored-disk group.
 	switch p.Architecture {
 	case Basic:
-		out[SvcApp] = p.AppHostAvailability
-		out[SvcDB] = p.DBHostAvailability * p.DiskAvailability
+		out[idxApp] = p.AppHostAvailability
+		out[idxDB] = p.DBHostAvailability * p.DiskAvailability
 	case Redundant:
-		out[SvcApp] = oneOfN(2, p.AppHostAvailability)
-		out[SvcDB] = oneOfN(2, p.DBHostAvailability) * oneOfN(2, p.DiskAvailability)
+		out[idxApp] = oneOfN(2, p.AppHostAvailability)
+		out[idxDB] = oneOfN(2, p.DBHostAvailability) * oneOfN(2, p.DiskAvailability)
 	}
 
 	// Table 5: web service via the composite performance-availability model.
@@ -48,9 +59,9 @@ func serviceAvailabilities(p Params, comp *webfarm.Composer) (map[string]float64
 		ws, err = WebFarm(p).Availability()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("travelagency: web service: %w", err)
+		return out, fmt.Errorf("travelagency: web service: %w", err)
 	}
-	out[SvcWeb] = ws
+	out[idxWeb] = ws
 	return out, nil
 }
 
@@ -113,18 +124,18 @@ const modelCacheLimit = 64
 
 // models caches one TA model structure, spec(p, class).BuildStructure(), per
 // modelKey for the whole process. Its services stay at availability 1: every
-// evaluation passes its own availabilities to EvaluateWith, which never
-// mutates the model, so concurrent callers share the cached models and their
-// compiled user layer.
+// evaluation passes its own availability vector to EvaluateVector, which
+// never mutates the model, so concurrent callers share the cached models and
+// their compiled user layer.
 var models = func() *sweep.Memo[modelKey, *hierarchy.Model] {
 	m := new(sweep.Memo[modelKey, *hierarchy.Model])
 	m.SetLimit(modelCacheLimit)
 	return m
 }()
 
-// evaluate computes the service availabilities of p (validating it) with
-// the web-farm solve routed through comp, when non-nil, and evaluates the
-// cached model structure of (class, p) with them.
+// evaluate computes the service availability vector of p (validating it)
+// with the web-farm solve routed through comp, when non-nil, and evaluates
+// the cached model structure of (class, p) with it.
 func evaluate(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Report, error) {
 	avail, err := serviceAvailabilities(p, comp)
 	if err != nil {
@@ -138,13 +149,22 @@ func evaluate(p Params, class UserClass, comp *webfarm.Composer) (*hierarchy.Rep
 			if err != nil {
 				return nil, err
 			}
-			return s.BuildStructure()
+			m, err := s.BuildStructure()
+			if err != nil {
+				return nil, err
+			}
+			// The vector is in serviceNames order; the model must declare
+			// its services in the same order.
+			if names := m.ServiceNames(); !slices.Equal(names, serviceNames[:]) {
+				return nil, fmt.Errorf("travelagency: model declares services %v, want %v", names, serviceNames)
+			}
+			return m, nil
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	return m.EvaluateWith(avail)
+	return m.EvaluateVector(avail[:])
 }
 
 // Evaluate evaluates the TA model for one user class. The model structure

@@ -8,10 +8,33 @@ import (
 	"repro/internal/webfarm"
 )
 
+// Service indices in the TA's service declaration order: the order of
+// serviceNames, of the spec's services and of the availability vector
+// serviceAvailabilities fills.
+const (
+	idxInternet = iota
+	idxLAN
+	idxWeb
+	idxApp
+	idxDB
+	idxFlight
+	idxHotel
+	idxCar
+	idxPayment
+	numServices
+)
+
 // serviceNames is the TA's service declaration order.
-var serviceNames = []string{
-	SvcInternet, SvcLAN, SvcWeb, SvcApp, SvcDB,
-	SvcFlight, SvcHotel, SvcCar, SvcPayment,
+var serviceNames = [numServices]string{
+	idxInternet: SvcInternet,
+	idxLAN:      SvcLAN,
+	idxWeb:      SvcWeb,
+	idxApp:      SvcApp,
+	idxDB:       SvcDB,
+	idxFlight:   SvcFlight,
+	idxHotel:    SvcHotel,
+	idxCar:      SvcCar,
+	idxPayment:  SvcPayment,
 }
 
 // SpecForClass exports the travel-agency model for one user class as a
@@ -25,8 +48,8 @@ func SpecForClass(p Params, class UserClass) (*modelspec.Spec, error) {
 }
 
 // resolvedSpec is spec(p, class) with every service availability computed
-// from the parameters (validating them), the web-farm solve routed through
-// comp when non-nil.
+// from the parameters (validating them) and written in by declaration
+// index, the web-farm solve routed through comp when non-nil.
 func resolvedSpec(p Params, class UserClass, comp *webfarm.Composer) (*modelspec.Spec, error) {
 	avail, err := serviceAvailabilities(p, comp)
 	if err != nil {
@@ -36,8 +59,8 @@ func resolvedSpec(p Params, class UserClass, comp *webfarm.Composer) (*modelspec
 	if err != nil {
 		return nil, err
 	}
-	for _, svc := range s.Services {
-		*svc.Availability = avail[svc.Name]
+	for i, svc := range s.Services {
+		*svc.Availability = avail[i]
 	}
 	return s, nil
 }

@@ -3,6 +3,8 @@ package webfarm
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/perfavail"
 	"repro/internal/queueing"
@@ -24,12 +26,26 @@ type repairSolution struct {
 	operational, reconfig []float64
 }
 
-// lossKey identifies one M/M/i/K queueing configuration after the
-// small-buffer server clamp. Cells that differ only in failure/repair
-// parameters share every loss probability.
+// lossKey identifies one M/M/i/K loss curve: the queueing inputs other than
+// the operational server count. Cells that differ only in server count or
+// failure/repair parameters share one curve.
 type lossKey struct {
 	arrival, service float64
-	servers, buffer  int
+	buffer           int
+}
+
+// lossCurve holds p_K(i), i = 1..K, for one lossKey. Each p_K(i) is solved
+// on its first lookup; mu guards the slots, which only grow.
+type lossCurve struct {
+	mu    sync.Mutex
+	slots []lossSlot // slots[i-1] holds p_K(i)
+}
+
+// lossSlot is one solved (or not yet solved) p_K(i) and its error.
+type lossSlot struct {
+	pk     float64
+	err    error
+	solved bool
 }
 
 // Composer assembles composite farm models like Farm.Compose but memoizes
@@ -38,21 +54,26 @@ type lossKey struct {
 //   - the repair-model solution, keyed by (Servers, FailureRate, RepairRate,
 //     Coverage, ReconfigRate) — reused across all (ArrivalRate, BufferSize)
 //     cells of a sweep, and
-//   - the M/M/i/K loss probabilities p_K(i), keyed by (ArrivalRate,
-//     ServiceRate, clamped server count, BufferSize) — reused across all
-//     failure-parameter cells.
+//   - the M/M/i/K loss curve p_K(1..K), one entry per (ArrivalRate,
+//     ServiceRate, BufferSize) whose p_K(i) are solved lazily, each once,
+//     for the clamped server count i — reused across all failure-parameter
+//     and farm-size cells. A cell pays one curve lookup, not one per
+//     server count.
 //
 // On the paper's Figure 11/12 grid (3 failure rates × 3 arrival rates × 10
 // farm sizes) this cuts 90 repair solves to 30 and 495 queueing solves to
-// 30 per coverage setting, with results bit-identical to the uncached path
-// (the same computations run, just once).
+// 30 (3 curves of 10) per coverage setting, with results bit-identical to
+// the uncached path (the same computations run, just once).
 //
 // A Composer is safe for concurrent use by the workers of a parallel sweep;
-// each distinct key is computed exactly once even under contention. The
-// zero value is ready to use.
+// each repair solution and each p_K(i) is computed exactly once even under
+// contention. The zero value is ready to use.
 type Composer struct {
 	repairs sweep.Memo[repairKey, repairSolution]
-	losses  sweep.Memo[lossKey, float64]
+
+	mu                   sync.Mutex // guards curves
+	curves               map[lossKey]*lossCurve
+	lossHits, lossMisses atomic.Int64
 }
 
 // NewComposer returns an empty Composer.
@@ -74,27 +95,50 @@ func (c *Composer) structural(f Farm) (repairSolution, error) {
 	})
 }
 
-// lossProbability returns the memoized p_K(i), applying the same
+// curve returns the farm's loss curve, adding an empty one on first use.
+func (c *Composer) curve(f Farm) *lossCurve {
+	key := lossKey{f.ArrivalRate, f.ServiceRate, f.BufferSize}
+	c.mu.Lock()
+	lc := c.curves[key]
+	if lc == nil {
+		if c.curves == nil {
+			c.curves = make(map[lossKey]*lossCurve)
+		}
+		lc = new(lossCurve)
+		c.curves[key] = lc
+	}
+	c.mu.Unlock()
+	return lc
+}
+
+// lossProbability returns p_K(i) from the farm's curve lc, applying the same
 // small-buffer clamp as Farm.lossProbability so equivalent queues share one
-// cache entry. Warm lookups go through Memo.Get and allocate nothing.
-func (c *Composer) lossProbability(f Farm, operational int) (float64, error) {
+// slot, and solving it on the first lookup. Each lookup counts one hit or
+// one miss. operational must not exceed f.Servers.
+func (c *Composer) lossProbability(lc *lossCurve, f Farm, operational int) (float64, error) {
 	if operational > f.BufferSize {
 		operational = f.BufferSize
 	}
-	key := lossKey{f.ArrivalRate, f.ServiceRate, operational, f.BufferSize}
-	if pk, err, ok := c.losses.Get(key); ok {
-		return pk, err
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	if n := min(f.Servers, f.BufferSize); n > len(lc.slots) {
+		lc.slots = append(lc.slots, make([]lossSlot, n-len(lc.slots))...)
 	}
-	servers := operational
-	return c.losses.Do(key, func() (float64, error) {
-		q := queueing.MMcK{
-			Arrival:  f.ArrivalRate,
-			Service:  f.ServiceRate,
-			Servers:  servers,
-			Capacity: f.BufferSize,
-		}
-		return q.LossProbability()
-	})
+	s := &lc.slots[operational-1]
+	if s.solved {
+		c.lossHits.Add(1)
+		return s.pk, s.err
+	}
+	c.lossMisses.Add(1)
+	q := queueing.MMcK{
+		Arrival:  f.ArrivalRate,
+		Service:  f.ServiceRate,
+		Servers:  operational,
+		Capacity: f.BufferSize,
+	}
+	s.pk, s.err = q.LossProbability()
+	s.solved = true
+	return s.pk, s.err
 }
 
 // Compose builds the composite model of the farm, reusing memoized repair
@@ -107,8 +151,9 @@ func (c *Composer) Compose(f Farm) (*perfavail.Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	lc := c.curve(f)
 	return f.composeStatesWith(sol.operational, sol.reconfig, func(i int) (float64, error) {
-		return c.lossProbability(f, i)
+		return c.lossProbability(lc, f, i)
 	})
 }
 
@@ -170,6 +215,7 @@ func (c *Composer) unavailabilityDirect(f Farm) (float64, error) {
 	// per-state validation and sum accumulation together with Unavailability's
 	// Σ π·(1−success); each accumulator sees its terms in exactly the state
 	// order of the materialized model.
+	lc := c.curve(f)
 	var sum, u float64
 	if operational[0] < 0 || math.IsNaN(operational[0]) {
 		return 0, fmt.Errorf("%w: state %q probability %v", perfavail.ErrInvalid, "0-servers", operational[0])
@@ -177,7 +223,7 @@ func (c *Composer) unavailabilityDirect(f Farm) (float64, error) {
 	sum += operational[0]
 	u += operational[0] * (1 - 0)
 	for i := 1; i <= f.Servers; i++ {
-		pk, err := c.lossProbability(f, i)
+		pk, err := c.lossProbability(lc, f, i)
 		if err != nil {
 			return 0, err
 		}
@@ -213,18 +259,18 @@ func (c *Composer) Breakdown(f Farm) (perfavail.Breakdown, error) {
 	return m.UnavailabilityBreakdown(), nil
 }
 
-// CacheSizes reports the number of memoized repair solutions and loss
-// probabilities, for diagnostics and tests.
+// CacheSizes reports the number of memoized repair solutions and of solved
+// loss probabilities p_K(i), for diagnostics and tests.
 func (c *Composer) CacheSizes() (repairs, losses int) {
-	return c.repairs.Len(), c.losses.Len()
+	return c.repairs.Len(), int(c.lossMisses.Load())
 }
 
-// CacheStats reports hit/miss counters for the two memo caches. Because the
-// memos single-flight under a lock, misses equal the number of distinct keys
-// ever requested, which makes these counters deterministic for a given grid
-// regardless of how many sweep workers shared the composer.
+// CacheStats reports hit/miss counters for the repair memo and the loss
+// curves, one loss hit or miss per p_K(i) lookup. Because both solve each
+// key under a lock, misses equal the number of distinct repair keys and of
+// distinct p_K(i) ever requested, which makes these counters deterministic
+// for a given grid regardless of how many sweep workers shared the composer.
 func (c *Composer) CacheStats() (repairHits, repairMisses, lossHits, lossMisses int64) {
 	repairHits, repairMisses = c.repairs.Stats()
-	lossHits, lossMisses = c.losses.Stats()
-	return repairHits, repairMisses, lossHits, lossMisses
+	return repairHits, repairMisses, c.lossHits.Load(), c.lossMisses.Load()
 }

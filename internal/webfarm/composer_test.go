@@ -2,8 +2,11 @@ package webfarm
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/queueing"
 )
 
 // figureGridFarms enumerates the Figure 11/12-shaped grid used by the
@@ -259,4 +262,61 @@ func TestComposerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// FuzzComposerLossCurve holds every p_K(i) a loss curve serves to
+// MMcK.LossProbability on the clamped server count with tolerance 0, and
+// requires the loss hit and miss counts of a batch over one curve to be the
+// same for 1 to 4 workers (run it under -race). The batch visits every farm
+// size from 1 to n twice, so sizes above K exercise the clamp and the second
+// pass hits.
+func FuzzComposerLossCurve(f *testing.F) {
+	f.Add(100.0, 100.0, uint8(10), uint8(10))
+	f.Add(10.0, 5.0, uint8(3), uint8(2))
+	f.Add(1e6, 1.0, uint8(12), uint8(1))
+	f.Add(1e-9, 3.0, uint8(1), uint8(200))
+	f.Add(1e12, 1e-12, uint8(16), uint8(255))
+	f.Add(0.0, 100.0, uint8(4), uint8(10))
+	f.Fuzz(func(t *testing.T, arrival, service float64, servers, buffer uint8) {
+		n, k := 1+int(servers%16), 1+int(buffer)
+		var farms []Farm
+		for range 2 {
+			for s := 1; s <= n; s++ {
+				farms = append(farms, Farm{
+					Servers: s, ArrivalRate: arrival, ServiceRate: service, BufferSize: k,
+					FailureRate: 1e-3, RepairRate: 1, Coverage: 1,
+				})
+			}
+		}
+		var firstErr error
+		var first [2]int64
+		for workers := 1; workers <= 4; workers++ {
+			c := NewComposer()
+			_, err := c.UnavailabilityBatch(farms, workers)
+			if (err != nil) != (firstErr != nil) && workers > 1 {
+				t.Fatalf("workers %d: error %v, 1 worker: %v", workers, err, firstErr)
+			}
+			_, _, hits, misses := c.CacheStats()
+			switch {
+			case workers == 1:
+				firstErr, first = err, [2]int64{hits, misses}
+			case err == nil && [2]int64{hits, misses} != first:
+				t.Fatalf("workers %d: loss hits/misses %d/%d, 1 worker %d/%d", workers, hits, misses, first[0], first[1])
+			}
+			// Every p_K(i) the curve serves, after the batch filled it.
+			big := farms[n-1]
+			if big.check() != nil {
+				continue
+			}
+			lc := c.curve(big)
+			for i := 1; i <= n; i++ {
+				got, gotErr := c.lossProbability(lc, big, i)
+				q := queueing.MMcK{Arrival: arrival, Service: service, Servers: min(i, k), Capacity: k}
+				want, wantErr := q.LossProbability()
+				if (gotErr != nil) != (wantErr != nil) || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("workers %d: p_K(%d) = %v (%v), LossProbability %v (%v)", workers, i, got, gotErr, want, wantErr)
+				}
+			}
+		}
+	})
 }
