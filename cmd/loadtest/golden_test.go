@@ -1,16 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/testbed"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the campaign-preset golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // TestCampaignPresetGoldens runs every -campaign preset single-worker (float
 // accumulation order, and therefore the rendered tables, are deterministic
@@ -50,5 +55,56 @@ func TestCampaignPresetUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "renewal") {
 		t.Errorf("error %q should name the bad preset and the available ones", err)
+	}
+}
+
+// TestDiscoveryGateSpanGolden runs the span export of CI's trace-mining
+// discovery gate and pins its bytes to a checked-in digest. Workers finish
+// visits in any order, so the file's traces are sorted first; each trace's
+// lines, from its visit span on, keep their written order. Regenerate with:
+// go test ./cmd/loadtest -run TestDiscoveryGateSpanGolden -update
+func TestDiscoveryGateSpanGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exports 12,000 visits of spans")
+	}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := run([]string{"-visits", "6000", "-steps", "-seed", "2", "-serve", "127.0.0.1:0",
+		"-trace-ring", "13000", "-trace-out", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces [][]byte
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		if bytes.Contains(line, []byte(`"level":"visit"`)) || len(traces) == 0 {
+			traces = append(traces, nil)
+		}
+		traces[len(traces)-1] = append(traces[len(traces)-1], line...)
+	}
+	sort.Slice(traces, func(i, j int) bool { return bytes.Compare(traces[i], traces[j]) < 0 })
+	h := sha256.New()
+	for _, tr := range traces {
+		h.Write(tr)
+	}
+	got := fmt.Sprintf("traces %d\nspans %d\nbytes %d\nsha256 %x\n",
+		len(traces), bytes.Count(raw, []byte("\n")), len(raw), h.Sum(nil))
+
+	golden := filepath.Join("testdata", "discovery_spans.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("span export diverges from %s:\ngot:\n%swant:\n%s", golden, got, want)
 	}
 }
