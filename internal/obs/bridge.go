@@ -17,11 +17,13 @@ type Bridge struct {
 	drift  *DriftDetector
 
 	visitDuration *Histogram
-	// Per-class and per-function instruments, each looked up in the
-	// registry once, on the first visit that needs it, so a series appears
-	// only after its first visit.
-	visits    sync.Map // class → *Counter
-	functions sync.Map // function → *functionMetrics
+	// Per-class, per-failure and per-function instruments, each looked up in
+	// the registry once, on the first visit that needs it, so a series
+	// appears only after its first visit.
+	visits       sync.Map // class → *Counter
+	failures     sync.Map // [2]string{class, cause} → *Counter
+	resourceDown sync.Map // [2]string{class, service} → *Counter
+	functions    sync.Map // function → *functionMetrics
 }
 
 // functionMetrics are one function's bridge instruments.
@@ -48,7 +50,7 @@ func (b *Bridge) OnVisit(tr telemetry.VisitTrace) {
 		b.recordMetrics(tr)
 	}
 	if b.tracer != nil {
-		b.tracer.Record(VisitSpans(tr))
+		b.tracer.RecordVisit(tr)
 	}
 	if b.drift != nil {
 		b.drift.Observe(tr.OK)
@@ -64,13 +66,23 @@ func (b *Bridge) recordMetrics(tr telemetry.VisitTrace) {
 	}
 	visits.(*Counter).Inc()
 	if !tr.OK {
-		b.reg.MustCounter("ta_visit_failures_total",
-			"failed visits by first cause", class,
-			Label{Key: "cause", Value: string(tr.Cause)}).Inc()
+		key := [2]string{tr.Class, string(tr.Cause)}
+		failures, ok := b.failures.Load(key)
+		if !ok {
+			failures, _ = b.failures.LoadOrStore(key, b.reg.MustCounter("ta_visit_failures_total",
+				"failed visits by first cause", class,
+				Label{Key: "cause", Value: string(tr.Cause)}))
+		}
+		failures.(*Counter).Inc()
 		if tr.Cause == telemetry.CauseResourceDown && tr.FailedService != "" {
-			b.reg.MustCounter("ta_visit_resource_down_total",
-				"structural visit failures by failed service", class,
-				Label{Key: "service", Value: tr.FailedService}).Inc()
+			key := [2]string{tr.Class, tr.FailedService}
+			down, ok := b.resourceDown.Load(key)
+			if !ok {
+				down, _ = b.resourceDown.LoadOrStore(key, b.reg.MustCounter("ta_visit_resource_down_total",
+					"structural visit failures by failed service", class,
+					Label{Key: "service", Value: tr.FailedService}))
+			}
+			down.(*Counter).Inc()
 		}
 	}
 	b.visitDuration.Observe(tr.Duration)

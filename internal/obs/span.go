@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // Level places a span on the paper's four-level modeling hierarchy.
@@ -52,23 +54,39 @@ type Trace struct {
 }
 
 // Tracer retains the most recent traces in a bounded in-memory ring and
-// exports them as JSON lines (one span per line). All methods are safe for
-// concurrent use.
+// exports them as JSON lines (one span per line). A testbed visit is kept as
+// its telemetry trace, and its span tree is built only when the ring is
+// read. All methods are safe for concurrent use.
 type Tracer struct {
 	mu       sync.Mutex
 	capacity int
-	ring     []Trace
+	ring     []entry
 	next     int
-	wrapped  bool
 	recorded int64
 }
 
+// entry is one retained trace: a visit kept as recorded (spans empty) or a
+// span trace recorded whole.
+type entry struct {
+	visit telemetry.VisitTrace
+	spans Trace
+}
+
+// trace returns the entry's span tree.
+func (e *entry) trace() Trace {
+	if len(e.spans.Spans) > 0 {
+		return e.spans
+	}
+	return VisitSpans(e.visit)
+}
+
 // NewTracer creates a tracer that keeps the last capacity traces (minimum 1).
+// The ring grows to its capacity as traces arrive.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{capacity: capacity, ring: make([]Trace, 0, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Record adds one trace, evicting the oldest when the ring is full. Empty
@@ -77,14 +95,24 @@ func (t *Tracer) Record(tr Trace) {
 	if len(tr.Spans) == 0 {
 		return
 	}
+	t.add(entry{spans: tr})
+}
+
+// RecordVisit adds one testbed visit, evicting the oldest trace when the
+// ring is full; readers see it as VisitSpans(tr). The tracer keeps tr's
+// slices, so the caller must not modify them afterwards.
+func (t *Tracer) RecordVisit(tr telemetry.VisitTrace) {
+	t.add(entry{visit: tr})
+}
+
+func (t *Tracer) add(e entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.recorded++
 	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, tr)
+		t.ring = append(t.ring, e)
 	} else {
-		t.ring[t.next] = tr
-		t.wrapped = true
+		t.ring[t.next] = e
 	}
 	t.next = (t.next + 1) % t.capacity
 }
@@ -97,29 +125,42 @@ func (t *Tracer) Recorded() int64 {
 	return t.recorded
 }
 
-// Traces returns the retained traces, oldest first.
-func (t *Tracer) Traces() []Trace {
+// entries copies up to limit of the most recently retained entries, oldest
+// first (limit ≤ 0 copies all), so spans are built outside the lock.
+func (t *Tracer) entries(limit int) []entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Trace, 0, len(t.ring))
-	if t.wrapped {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
+	n := len(t.ring)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	// Once the ring is full, the oldest entry sits at next.
+	oldest := 0
+	if len(t.ring) == t.capacity {
+		oldest = t.next
+	}
+	out := make([]entry, n)
+	for i := range out {
+		out[i] = t.ring[(oldest+len(t.ring)-n+i)%len(t.ring)]
 	}
 	return out
+}
+
+// Traces returns the retained traces, oldest first.
+func (t *Tracer) Traces() []Trace {
+	return t.Snapshot(0)
 }
 
 // Snapshot returns up to limit of the most recently retained traces, oldest
 // first. A limit ≤ 0 (or one at least the retained count) returns everything,
 // making Snapshot(0) equivalent to Traces.
 func (t *Tracer) Snapshot(limit int) []Trace {
-	all := t.Traces()
-	if limit > 0 && limit < len(all) {
-		all = all[len(all)-limit:]
+	es := t.entries(limit)
+	out := make([]Trace, len(es))
+	for i := range es {
+		out[i] = es[i].trace()
 	}
-	return all
+	return out
 }
 
 // WriteJSONL writes every retained span as one JSON object per line, traces
@@ -130,10 +171,12 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 
 // WriteJSONLLimit is WriteJSONL restricted to the last limit traces
 // (limit ≤ 0 writes everything) — the bounded path behind /traces?limit=.
+// It builds and encodes one trace at a time.
 func (t *Tracer) WriteJSONLLimit(w io.Writer, limit int) error {
 	enc := json.NewEncoder(w)
-	for _, tr := range t.Snapshot(limit) {
-		for _, sp := range tr.Spans {
+	es := t.entries(limit)
+	for i := range es {
+		for _, sp := range es[i].trace().Spans {
 			if err := enc.Encode(sp); err != nil {
 				return err
 			}

@@ -23,7 +23,7 @@ func BenchmarkSteadySnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if state.Up("net", 0) {
+		if state.Up(0, 0) { // resource 0 is the Internet link
 			benchSink++
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/travelagency"
 )
 
 // Request and response headers of the tier protocol. Service calls carry
@@ -25,8 +24,10 @@ const (
 
 // call is one service invocation within a visit.
 type call struct {
-	visit   uint64
-	service string
+	visit uint64
+	// service indexes the topology's groups (serviceOrder); -1 marks a
+	// service the deployment does not implement.
+	service int
 	at      float64
 	demand  float64
 	entry   bool
@@ -54,17 +55,17 @@ func (c *Cluster) callTier(t *topology, cl call, state VisitState) (callResult, 
 	if m := c.metrics; m != nil {
 		m.calls.Inc()
 	}
-	g, ok := t.groups[cl.service]
-	if !ok {
+	if cl.service < 0 {
 		return c.failCall(telemetry.CauseResourceDown), nil
 	}
+	g := &t.groups[cl.service]
 	var extra float64
 	operational := 0
 	for _, bank := range g.banks {
-		serving := ""
+		serving := -1
 		for _, r := range bank {
 			if state.Up(r, cl.at) {
-				if serving == "" {
+				if serving < 0 {
 					serving = r
 				}
 				if g.tier != TierWeb {
@@ -73,7 +74,7 @@ func (c *Cluster) callTier(t *topology, cl call, state VisitState) (callResult, 
 				operational++ // web bank: count capacity for the admission model
 			}
 		}
-		if serving == "" {
+		if serving < 0 {
 			return c.failCall(telemetry.CauseResourceDown), nil
 		}
 		// Injected latency is observed on the replica actually serving the
@@ -167,10 +168,10 @@ func newHTTPDispatcher(c *Cluster) *httpDispatcher {
 }
 
 func (d *httpDispatcher) dispatch(t *topology, cl call, state VisitState) (callResult, error) {
-	g, ok := t.groups[cl.service]
-	if !ok {
+	if cl.service < 0 {
 		return callResult{ok: false, cause: telemetry.CauseResourceDown}, nil
 	}
+	g := &t.groups[cl.service]
 	srv, ok := d.servers[g.tier]
 	if !ok {
 		return callResult{}, fmt.Errorf("testbed: no server for tier %q", g.tier)
@@ -180,7 +181,7 @@ func (d *httpDispatcher) dispatch(t *topology, cl call, state VisitState) (callR
 		return callResult{}, err
 	}
 	req.Header.Set(headerVisit, strconv.FormatUint(cl.visit, 10))
-	req.Header.Set(headerService, cl.service)
+	req.Header.Set(headerService, g.service)
 	req.Header.Set(headerAt, strconv.FormatFloat(cl.at, 'g', -1, 64))
 	req.Header.Set(headerDemand, strconv.FormatFloat(cl.demand, 'g', -1, 64))
 	if cl.entry {
@@ -224,12 +225,12 @@ func (d *httpDispatcher) close() {
 // its frozen fault-plane state stays valid either way.
 func (c *Cluster) tierHandler(tier string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		svc := r.Header.Get(headerService)
+		name := r.Header.Get(headerService)
+		svc := serviceIndex(name)
 		t := c.acquire()
 		defer c.release(t)
-		g, ok := t.groups[svc]
-		if !ok || g.tier != tier {
-			http.Error(w, fmt.Sprintf("service %q not hosted by tier %q", svc, tier), http.StatusNotFound)
+		if svc < 0 || t.groups[svc].tier != tier {
+			http.Error(w, fmt.Sprintf("service %q not hosted by tier %q", name, tier), http.StatusNotFound)
 			return
 		}
 		visit, err := strconv.ParseUint(r.Header.Get(headerVisit), 10, 64)
@@ -280,16 +281,4 @@ func (c *Cluster) tierHandler(tier string) http.Handler {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 	})
-}
-
-// entryStep reports whether a step's service set marks it as the user-facing
-// page request: every function's first step traverses the Internet
-// connection, and only that request competes for the web admission buffer.
-func entryStep(services []string) bool {
-	for _, svc := range services {
-		if svc == travelagency.SvcInternet {
-			return true
-		}
-	}
-	return false
 }

@@ -12,15 +12,17 @@ import (
 
 // VisitState is one frozen fault-plane realization observed by a single
 // visit: which resources are up at each instant of the visit, and how much
-// extra latency injection adds to calls touching them.
+// extra latency injection adds to calls touching them. Resources are given
+// by their index in the topology's inventory (the order of
+// Cluster.Resources).
 type VisitState interface {
 	// Start is the visit's start instant on the fault-plane clock.
 	Start() float64
-	// Up reports whether the named resource is operational at the instant.
-	Up(resource string, at float64) bool
+	// Up reports whether the resource is operational at the instant.
+	Up(resource int, at float64) bool
 	// ExtraLatency returns injected extra latency for a call hitting the
 	// resource at the instant.
-	ExtraLatency(resource string, at float64) float64
+	ExtraLatency(resource int, at float64) float64
 }
 
 // FaultPlane produces independent VisitState snapshots, one per visit.
@@ -30,15 +32,15 @@ type FaultPlane interface {
 	Snapshot(rng *rand.Rand) (VisitState, error)
 }
 
-// steadyVisitState is a time-invariant snapshot: each resource is either up
-// or down for the visit's whole duration.
+// steadyVisitState is a time-invariant snapshot: each resource, by index, is
+// either up or down for the visit's whole duration.
 type steadyVisitState struct {
-	up map[string]bool
+	up []bool
 }
 
-func (s *steadyVisitState) Start() float64                       { return 0 }
-func (s *steadyVisitState) Up(resource string, _ float64) bool   { return s.up[resource] }
-func (s *steadyVisitState) ExtraLatency(string, float64) float64 { return 0 }
+func (s *steadyVisitState) Start() float64                    { return 0 }
+func (s *steadyVisitState) Up(resource int, _ float64) bool   { return s.up[resource] }
+func (s *steadyVisitState) ExtraLatency(int, float64) float64 { return 0 }
 
 // SteadyStatePlane freezes per-resource Bernoulli states for each visit,
 // exactly mirroring the paper's steady-state independence assumptions:
@@ -50,7 +52,10 @@ func (s *steadyVisitState) ExtraLatency(string, float64) float64 { return 0 }
 // equation (10).
 type SteadyStatePlane struct {
 	resources []Resource
-	webNames  []string
+	// drawn lists the non-web resources, which take one Bernoulli draw each,
+	// and web the web servers, both as inventory indices in inventory order.
+	drawn []int
+	web   []int
 	// farm samples the web-farm structural state: categories 0..N are the
 	// operational states (i servers up), categories N+1..2N are the manual
 	// reconfiguration states y_1..y_N (service down).
@@ -65,6 +70,12 @@ func NewSteadyStatePlane(p travelagency.Params) (*SteadyStatePlane, error) {
 		return nil, err
 	}
 	resources, _ := inventory(p)
+	return newSteadyStatePlane(p, resources)
+}
+
+// newSteadyStatePlane builds the steady plane over an inventory already
+// built from the (validated) parameters.
+func newSteadyStatePlane(p travelagency.Params, resources []Resource) (*SteadyStatePlane, error) {
 	probs, err := repairmodel.ImperfectCoverage{
 		Servers:      p.WebServers,
 		FailureRate:  p.WebFailureRate,
@@ -83,9 +94,11 @@ func NewSteadyStatePlane(p travelagency.Params) (*SteadyStatePlane, error) {
 		return nil, fmt.Errorf("testbed: web farm state sampler: %w", err)
 	}
 	plane := &SteadyStatePlane{resources: resources, farm: farm, servers: p.WebServers}
-	for _, r := range resources {
+	for i, r := range resources {
 		if r.Tier == TierWeb {
-			plane.webNames = append(plane.webNames, r.Name)
+			plane.web = append(plane.web, i)
+		} else {
+			plane.drawn = append(plane.drawn, i)
 		}
 	}
 	return plane, nil
@@ -96,37 +109,35 @@ func NewSteadyStatePlane(p travelagency.Params) (*SteadyStatePlane, error) {
 // structural state — so a per-visit seeded rng yields a reproducible state
 // regardless of worker scheduling.
 func (p *SteadyStatePlane) Snapshot(rng *rand.Rand) (VisitState, error) {
-	up := make(map[string]bool, len(p.resources))
-	for _, r := range p.resources {
-		if r.Tier == TierWeb {
-			continue
-		}
-		up[r.Name] = rng.Float64() < r.Availability
+	up := make([]bool, len(p.resources))
+	for _, i := range p.drawn {
+		up[i] = rng.Float64() < p.resources[i].Availability
 	}
-	state := p.farm.Sample(rng)
-	operational := 0
-	if state <= p.servers {
-		operational = state // state i: exactly i servers operational
+	operational := p.farm.Sample(rng) // state i: exactly i servers operational
+	if operational > p.servers {
+		operational = 0 // manual reconfiguration: the farm is down
 	}
-	for i, name := range p.webNames {
-		up[name] = i < operational
+	for _, i := range p.web[:operational] {
+		up[i] = true
 	}
 	return &steadyVisitState{up: up}, nil
 }
 
 // timelineVisitState wraps one sampled campaign timeline plus a visit start
-// instant within it.
+// instant within it. Campaigns key services by resource name, so names maps
+// inventory indices back to them.
 type timelineVisitState struct {
 	tl    *resilience.Timeline
 	start float64
+	names []string
 }
 
 func (s *timelineVisitState) Start() float64 { return s.start }
-func (s *timelineVisitState) Up(resource string, at float64) bool {
-	return s.tl.Up(resource, at)
+func (s *timelineVisitState) Up(resource int, at float64) bool {
+	return s.tl.Up(s.names[resource], at)
 }
-func (s *timelineVisitState) ExtraLatency(resource string, at float64) float64 {
-	return s.tl.ExtraLatency(resource, at)
+func (s *timelineVisitState) ExtraLatency(resource int, at float64) float64 {
+	return s.tl.ExtraLatency(s.names[resource], at)
 }
 
 // CampaignPlane drives the testbed from a resilience fault-injection
@@ -137,6 +148,8 @@ func (s *timelineVisitState) ExtraLatency(resource string, at float64) float64 {
 // duration-aware outages, correlated failures and latency spikes.
 type CampaignPlane struct {
 	Campaign resilience.Campaign
+	// names are the inventory's resource names, by index.
+	names []string
 }
 
 // Snapshot samples one timeline realization and a visit start instant.
@@ -145,7 +158,7 @@ func (p *CampaignPlane) Snapshot(rng *rand.Rand) (VisitState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &timelineVisitState{tl: tl, start: 0.5 * p.Campaign.Horizon * rng.Float64()}, nil
+	return &timelineVisitState{tl: tl, start: 0.5 * p.Campaign.Horizon * rng.Float64(), names: p.names}, nil
 }
 
 // DefaultCampaign builds a renewal campaign over the deployment's resources:

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"math/rand"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -10,8 +9,9 @@ import (
 // clusterMetrics holds the hot-path instruments of a metered cluster. A nil
 // *clusterMetrics disables instrumentation entirely, so unmetered runs pay
 // only a nil check per service call. The instruments are cluster-owned and
-// survive runtime reconfigurations: each topology's fault plane is wrapped
-// with the same set (see meterPlane), so counters accumulate across swaps.
+// survive runtime reconfigurations: RunVisit reports every topology's
+// snapshots to the same set (see observeSnapshot), so counters accumulate
+// across swaps.
 type clusterMetrics struct {
 	calls        *obs.Counter
 	callDown     *obs.Counter
@@ -128,40 +128,15 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) error {
 	return nil
 }
 
-// meterPlane wraps a topology's fault plane with the cluster's plane
-// instruments. The instruments live on clusterMetrics, so the observation
-// stream is continuous across reconfigurations.
-func (m *clusterMetrics) meterPlane(inner FaultPlane, webNames []string) FaultPlane {
-	return &meteredPlane{m: m, inner: inner, webNames: webNames}
-}
-
-// meteredPlane observes the wrapped plane's snapshots: a counter of frozen
-// states, a gauge of operational web servers as of the most recent snapshot,
-// and a transition counter that increments whenever two consecutive
-// snapshots disagree on that count — the live trace of movement through the
-// Figure 10 chain's states.
-type meteredPlane struct {
-	m        *clusterMetrics
-	inner    FaultPlane
-	webNames []string
-}
-
-// Snapshot delegates to the wrapped plane and records the observation.
-func (p *meteredPlane) Snapshot(rng *rand.Rand) (VisitState, error) {
-	st, err := p.inner.Snapshot(rng)
-	if err != nil {
-		return nil, err
+// observeSnapshot records one frozen fault-plane state with up operational
+// web servers: a counter of frozen states, a gauge of operational web
+// servers as of the most recent snapshot, and a transition counter that
+// increments whenever two consecutive snapshots disagree on that count — the
+// live trace of movement through the Figure 10 chain's states.
+func (m *clusterMetrics) observeSnapshot(up int) {
+	m.snapshots.Inc()
+	m.webUp.Set(float64(up))
+	if prev := m.last.Swap(int64(up) + 1); prev != 0 && prev != int64(up)+1 {
+		m.transitions.Inc()
 	}
-	p.m.snapshots.Inc()
-	up := 0
-	for _, name := range p.webNames {
-		if st.Up(name, st.Start()) {
-			up++
-		}
-	}
-	p.m.webUp.Set(float64(up))
-	if prev := p.m.last.Swap(int64(up) + 1); prev != 0 && prev != int64(up)+1 {
-		p.m.transitions.Inc()
-	}
-	return st, nil
 }

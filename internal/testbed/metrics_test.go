@@ -77,37 +77,43 @@ func TestClusterMetrics(t *testing.T) {
 	}
 }
 
-// TestMeteredPlaneTransitions drives the metered plane directly and checks
-// the transition counter only advances when consecutive snapshots disagree
-// on the operational web-server count.
+// TestMeteredPlaneTransitions feeds a metered cluster's visits fault-plane
+// states with a scripted operational web-server count and checks the
+// transition counter only advances when consecutive snapshots disagree on
+// it.
 func TestMeteredPlaneTransitions(t *testing.T) {
 	reg := obs.NewRegistry()
+	c, err := New(travelagency.DefaultParams(), Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	topo := c.currentTopology()
 	states := []int{3, 3, 2, 2, 3}
 	idx := 0
-	inner := planeFunc(func() VisitState {
-		up := map[string]bool{}
-		for i := 0; i < 3; i++ {
-			up[[]string{"web-1", "web-2", "web-3"}[i]] = i < states[idx]
+	topo.plane = planeFunc(func() VisitState {
+		up := make([]bool, len(topo.resources))
+		for i := range up {
+			up[i] = true
+		}
+		for k, r := range topo.webServers {
+			up[r] = k < states[idx]
 		}
 		idx++
 		return &steadyVisitState{up: up}
 	})
-	m := &clusterMetrics{}
-	var err error
-	if m.snapshots, err = reg.Counter("testbed_fault_snapshots_total", "snapshots"); err != nil {
+	scenarios, err := travelagency.Scenarios(travelagency.ClassA)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.transitions, err = reg.Counter("testbed_web_state_transitions_total", "transitions"); err != nil {
-		t.Fatal(err)
-	}
-	if m.webUp, err = reg.Gauge("testbed_web_operational_servers", "up"); err != nil {
-		t.Fatal(err)
-	}
-	mp := m.meterPlane(inner, []string{"web-1", "web-2", "web-3"})
-	for range states {
-		if _, err := mp.Snapshot(nil); err != nil {
+	rng := rand.New(rand.NewSource(1))
+	for i := range states {
+		if _, err := c.RunVisit(uint64(i), scenarios[0], rng, false); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if up, n := c.WebUpStats(); up != 13 || n != 5 {
+		t.Errorf("WebUpStats = %d over %d snapshots, want 13 over 5", up, n)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -35,22 +35,44 @@ type Resource struct {
 
 // serviceGroup maps one model service to the resources that implement it:
 // the service is up iff every bank has at least one up resource (banks are
-// ANDed, resources within a bank are 1-of-N).
+// ANDed, resources within a bank are 1-of-N). Banks hold resource indices
+// into the inventory.
 type serviceGroup struct {
 	service string
 	tier    string
-	banks   [][]string
+	banks   [][]int
 }
 
-// inventory builds the resource list and service→group mapping of the
-// Figure 7/8 architecture described by the parameters.
-func inventory(p travelagency.Params) ([]Resource, map[string]serviceGroup) {
+// serviceOrder lists the services the deployment implements, in the order
+// of every topology's groups.
+var serviceOrder = [...]string{
+	travelagency.SvcInternet, travelagency.SvcLAN, travelagency.SvcWeb,
+	travelagency.SvcApp, travelagency.SvcDB, travelagency.SvcFlight,
+	travelagency.SvcHotel, travelagency.SvcCar, travelagency.SvcPayment,
+}
+
+// serviceIndex returns the index of the named service's group, or -1 when
+// the deployment does not implement it.
+func serviceIndex(name string) int {
+	for i, svc := range serviceOrder {
+		if svc == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// inventory builds the resource list and the service groups, in
+// serviceOrder, of the Figure 7/8 architecture described by the parameters.
+func inventory(p travelagency.Params) ([]Resource, []serviceGroup) {
 	var resources []Resource
-	add := func(tier string, avail float64, names ...string) []string {
-		for _, n := range names {
+	add := func(tier string, avail float64, names ...string) []int {
+		idx := make([]int, len(names))
+		for i, n := range names {
+			idx[i] = len(resources)
 			resources = append(resources, Resource{Name: n, Tier: tier, Availability: avail})
 		}
-		return names
+		return idx
 	}
 	numbered := func(prefix string, n int) []string {
 		out := make([]string, n)
@@ -77,16 +99,16 @@ func inventory(p travelagency.Params) ([]Resource, map[string]serviceGroup) {
 	cars := add(TierCar, p.CarSystemAvailability, numbered("car", p.CarSystems)...)
 	pay := add(TierPay, p.PaymentAvailability, "pay")
 
-	groups := map[string]serviceGroup{
-		travelagency.SvcInternet: {service: travelagency.SvcInternet, tier: TierNet, banks: [][]string{net}},
-		travelagency.SvcLAN:      {service: travelagency.SvcLAN, tier: TierLAN, banks: [][]string{lan}},
-		travelagency.SvcWeb:      {service: travelagency.SvcWeb, tier: TierWeb, banks: [][]string{web}},
-		travelagency.SvcApp:      {service: travelagency.SvcApp, tier: TierApp, banks: [][]string{app}},
-		travelagency.SvcDB:       {service: travelagency.SvcDB, tier: TierDB, banks: [][]string{dbHosts, disks}},
-		travelagency.SvcFlight:   {service: travelagency.SvcFlight, tier: TierFlight, banks: [][]string{flights}},
-		travelagency.SvcHotel:    {service: travelagency.SvcHotel, tier: TierHotel, banks: [][]string{hotels}},
-		travelagency.SvcCar:      {service: travelagency.SvcCar, tier: TierCar, banks: [][]string{cars}},
-		travelagency.SvcPayment:  {service: travelagency.SvcPayment, tier: TierPay, banks: [][]string{pay}},
+	groups := []serviceGroup{
+		{service: travelagency.SvcInternet, tier: TierNet, banks: [][]int{net}},
+		{service: travelagency.SvcLAN, tier: TierLAN, banks: [][]int{lan}},
+		{service: travelagency.SvcWeb, tier: TierWeb, banks: [][]int{web}},
+		{service: travelagency.SvcApp, tier: TierApp, banks: [][]int{app}},
+		{service: travelagency.SvcDB, tier: TierDB, banks: [][]int{dbHosts, disks}},
+		{service: travelagency.SvcFlight, tier: TierFlight, banks: [][]int{flights}},
+		{service: travelagency.SvcHotel, tier: TierHotel, banks: [][]int{hotels}},
+		{service: travelagency.SvcCar, tier: TierCar, banks: [][]int{cars}},
+		{service: travelagency.SvcPayment, tier: TierPay, banks: [][]int{pay}},
 	}
 	return resources, groups
 }

@@ -235,3 +235,32 @@ func TestLoadGenValidation(t *testing.T) {
 		t.Error("nil collector accepted")
 	}
 }
+
+// TestServiceGroupsFollowServiceOrder checks that inventory lists each
+// service's group at the index serviceIndex gives it, and that every bank
+// holds inventory indices of the group's tier.
+func TestServiceGroupsFollowServiceOrder(t *testing.T) {
+	for _, arch := range []travelagency.Architecture{travelagency.Basic, travelagency.Redundant} {
+		p := travelagency.DefaultParams()
+		p.Architecture = arch
+		resources, groups := inventory(p)
+		if len(groups) != len(serviceOrder) {
+			t.Fatalf("%v: %d groups, want %d", arch, len(groups), len(serviceOrder))
+		}
+		for i, g := range groups {
+			if serviceIndex(g.service) != i {
+				t.Errorf("%v: group %d implements %q, serviceIndex %d", arch, i, g.service, serviceIndex(g.service))
+			}
+			for _, bank := range g.banks {
+				for _, r := range bank {
+					if resources[r].Tier != g.tier {
+						t.Errorf("%v: %s bank holds %s of tier %s", arch, g.service, resources[r].Name, resources[r].Tier)
+					}
+				}
+			}
+		}
+	}
+	if serviceIndex("no such service") != -1 {
+		t.Error("unknown service resolved to a group")
+	}
+}

@@ -28,10 +28,12 @@ type topology struct {
 	campaign *resilience.Campaign
 
 	resources []Resource
-	groups    map[string]serviceGroup
-	webNames  []string
-	plane     FaultPlane
-	web       *webQueue
+	// groups implement the services in serviceOrder; webServers are the
+	// web servers' inventory indices.
+	groups     []serviceGroup
+	webServers []int
+	plane      FaultPlane
+	web        *webQueue
 
 	// refs counts in-flight visits pinned to this topology.
 	refs atomic.Int64
@@ -114,37 +116,32 @@ func (c *Cluster) Reconfigure(rc Reconfig) error {
 }
 
 // buildTopology assembles a topology for the given (validated) parameters.
-// The plane is wrapped with the cluster's metering instruments when the
-// cluster is metered.
 func (c *Cluster) buildTopology(p travelagency.Params, campaign *resilience.Campaign, offered float64) (*topology, error) {
 	resources, groups := inventory(p)
 	t := &topology{
-		servers:   p.WebServers,
-		buffer:    p.BufferSize,
-		offered:   offered,
-		campaign:  campaign,
-		resources: resources,
-		groups:    groups,
-	}
-	for _, r := range resources {
-		if r.Tier == TierWeb {
-			t.webNames = append(t.webNames, r.Name)
-		}
+		servers:    p.WebServers,
+		buffer:     p.BufferSize,
+		offered:    offered,
+		campaign:   campaign,
+		resources:  resources,
+		groups:     groups,
+		webServers: groups[serviceIndex(travelagency.SvcWeb)].banks[0],
 	}
 	if campaign != nil {
 		if err := campaign.Validate(); err != nil {
 			return nil, err
 		}
-		t.plane = &CampaignPlane{Campaign: *campaign}
+		names := make([]string, len(resources))
+		for i, r := range resources {
+			names[i] = r.Name
+		}
+		t.plane = &CampaignPlane{Campaign: *campaign, names: names}
 	} else {
-		plane, err := NewSteadyStatePlane(p)
+		plane, err := newSteadyStatePlane(p, resources)
 		if err != nil {
 			return nil, err
 		}
 		t.plane = plane
-	}
-	if c.metrics != nil {
-		t.plane = c.metrics.meterPlane(t.plane, t.webNames)
 	}
 	t.web = newWebQueue(p.WebServers, p.BufferSize, c.opts.Scale, &c.admitted, &c.rejected)
 	return t, nil

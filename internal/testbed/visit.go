@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/dtmc"
 	"repro/internal/hierarchy"
+	"repro/internal/interaction"
 	"repro/internal/telemetry"
+	"repro/internal/travelagency"
 )
 
 // maxWalkSteps bounds one function's diagram walk; the TA diagrams are
@@ -33,22 +35,26 @@ func (c *Cluster) RunVisit(id uint64, scenario hierarchy.UserScenario, rng *rand
 		return telemetry.VisitTrace{}, err
 	}
 	up := 0
-	for _, name := range t.webNames {
-		if state.Up(name, state.Start()) {
+	for _, r := range t.webServers {
+		if state.Up(r, state.Start()) {
 			up++
 		}
 	}
 	c.webUpSum.Add(int64(up))
 	c.webUpN.Add(1)
+	if m := c.metrics; m != nil {
+		m.observeSnapshot(up)
+	}
 	if c.opts.Transport == HTTP {
 		c.visitStates.Store(id, state)
 		defer c.visitStates.Delete(id)
 	}
 	tr := telemetry.VisitTrace{
-		ID:       id,
-		Scenario: scenario.Name,
-		Start:    state.Start(),
-		OK:       true,
+		ID:        id,
+		Scenario:  scenario.Name,
+		Start:     state.Start(),
+		OK:        true,
+		Functions: make([]telemetry.FunctionTrace, 0, len(scenario.Functions)),
 	}
 	at := state.Start()
 	for _, fn := range scenario.Functions {
@@ -92,7 +98,7 @@ func (c *Cluster) runFunction(t *topology, id uint64, fn string, at float64, sta
 		if next == w.End {
 			return ftr, nil
 		}
-		st, err := c.runStep(t, id, fn, w.Names[next], w.services[next], at+ftr.Duration, state, rng)
+		st, err := c.runStep(t, id, fn, &w.steps[next], at+ftr.Duration, state, rng)
 		if err != nil {
 			return telemetry.FunctionTrace{}, err
 		}
@@ -111,11 +117,36 @@ func (c *Cluster) runFunction(t *topology, id uint64, fn string, at float64, sta
 }
 
 // walk is one function's interaction diagram compiled for the visit walk:
-// its path graph, whose rows list successors in name order, and the services
-// each node requires. Both are shared by every visit and never mutated.
+// its path graph, whose rows list successors in name order, and each node's
+// step plan. Both are shared by every visit and never mutated.
 type walk struct {
 	dtmc.PathGraph
-	services [][]string
+	steps []stepPlan
+}
+
+// stepPlan is one diagram step resolved for execution: the services it
+// calls, the indices of the groups implementing them (-1 for a service the
+// deployment lacks), and whether it is the user-facing page request.
+type stepPlan struct {
+	name     string
+	services []string
+	groups   []int
+	entry    bool
+}
+
+// planStep resolves the named step of a diagram.
+func planStep(d *interaction.Diagram, name string) stepPlan {
+	services, _ := d.StepServices(name)
+	sp := stepPlan{name: name, services: services, groups: make([]int, len(services))}
+	for i, svc := range services {
+		sp.groups[i] = serviceIndex(svc)
+		// Every function's first step traverses the Internet connection,
+		// and only that request competes for the web admission buffer.
+		if svc == travelagency.SvcInternet {
+			sp.entry = true
+		}
+	}
+	return sp
 }
 
 // walkOf returns fn's compiled walk, building it on the function's first
@@ -129,9 +160,9 @@ func (c *Cluster) walkOf(fn string) (*walk, error) {
 		return nil, fmt.Errorf("%w: unknown function %q", ErrTestbed, fn)
 	}
 	w := &walk{PathGraph: d.Graph()}
-	w.services = make([][]string, len(w.Names))
+	w.steps = make([]stepPlan, len(w.Names))
 	for i, name := range w.Names {
-		w.services[i], _ = d.StepServices(name)
+		w.steps[i] = planStep(d, name)
 	}
 	got, _ := c.walks.LoadOrStore(fn, w)
 	return got.(*walk), nil
@@ -156,29 +187,28 @@ func sampleArc(arcs []dtmc.Arc, u float64) int {
 // AND fan-out of Figure 4 runs them against their tiers), the step succeeds
 // only if all calls succeed, and its latency is the maximum call latency
 // since fan-out calls proceed in parallel in the modeled system.
-func (c *Cluster) runStep(t *topology, id uint64, fn, step string, services []string, at float64, state VisitState, rng *rand.Rand) (telemetry.StepTrace, error) {
+func (c *Cluster) runStep(t *topology, id uint64, fn string, sp *stepPlan, at float64, state VisitState, rng *rand.Rand) (telemetry.StepTrace, error) {
 	st := telemetry.StepTrace{
 		Function: fn,
-		Step:     step,
-		Services: services,
+		Step:     sp.name,
+		Services: sp.services,
 		At:       at,
 		OK:       true,
 	}
-	entry := entryStep(services)
 	// The admission draw is consumed before per-service demands so the rng
 	// stream of a visit depends only on the offered-load mode, never on the
 	// fault-plane state or topology size.
 	lossU := -1.0
-	if entry && t.offered > 0 && c.opts.Scale <= 0 {
+	if sp.entry && t.offered > 0 && c.opts.Scale <= 0 {
 		lossU = rng.Float64()
 	}
-	for _, svc := range services {
+	for i, g := range sp.groups {
 		cl := call{
 			visit:   id,
-			service: svc,
+			service: g,
 			at:      at,
 			demand:  rng.ExpFloat64() / c.params.ServiceRate,
-			entry:   entry,
+			entry:   sp.entry,
 			lossU:   lossU,
 		}
 		res, err := c.disp.dispatch(t, cl, state)
@@ -191,7 +221,7 @@ func (c *Cluster) runStep(t *topology, id uint64, fn, step string, services []st
 		if !res.ok && st.OK {
 			st.OK = false
 			st.Cause = res.cause
-			st.FailedService = svc
+			st.FailedService = sp.services[i]
 		}
 	}
 	return st, nil
