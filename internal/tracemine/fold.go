@@ -60,14 +60,17 @@ type FoldStats struct {
 // counted as orphans and skipped. When a trace repeats a span ID (ReadSpans
 // and GroupSpans never let one through), a child attaches only to the first
 // span with its parent's ID.
+//
+// The visits' Functions, Steps and Resources slices are carved from shared
+// blocks with cap == len, and are nil when empty.
 func Fold(traces []obs.Trace) ([]Visit, FoldStats) {
 	var (
 		stats FoldStats
 		f     folder
 	)
 	visits := make([]Visit, 0, len(traces))
-	for _, tr := range traces {
-		v, orphans, ok := f.fold(tr)
+	for i := range traces {
+		v, orphans, ok := f.fold(traces[i].Spans)
 		stats.Orphans += orphans
 		if !ok {
 			stats.NoRoot++
@@ -79,33 +82,45 @@ func Fold(traces []obs.Trace) ([]Visit, FoldStats) {
 	return visits, stats
 }
 
-// folder holds the buffers Fold reuses from one trace to the next.
+// folder holds the buffers Fold reuses from one trace to the next and the
+// arenas its visits' lists are carved from.
 type folder struct {
 	sorted []obs.Span
-	// owner records, per position in the ID-sorted spans, where an attached
-	// function or step span went: its function index, and for a step its
-	// step index; -1 when the span did not attach there.
+	// owner records, per position in the ID-sorted spans, where the span
+	// attached: its function index, and for a step or resource its step's
+	// index in that function; fn is -1 when it did not attach.
 	owner []spanOwner
+	// children counts, per position, the spans attached under that span.
+	children []int
+	fns      arena[VisitFunction]
+	steps    arena[VisitStep]
+	res      arena[VisitResource]
 }
 
 type spanOwner struct{ fn, step int }
 
 func byID(a, b obs.Span) int { return cmp.Compare(a.ID, b.ID) }
 
-func (f *folder) fold(tr obs.Trace) (Visit, int64, bool) {
-	spans := tr.Spans
-	if !slices.IsSortedFunc(spans, byID) {
+// fold reconstructs one visit in two passes over the ID-sorted spans: the
+// first decides where each span attaches and counts each list, the second
+// fills lists carved to those counts.
+func (f *folder) fold(spans []obs.Span) (Visit, int64, bool) {
+	if !sortedByID(spans) {
 		f.sorted = append(f.sorted[:0], spans...)
 		spans = f.sorted
 		slices.SortFunc(spans, byID)
 	}
-	rootIdx := slices.IndexFunc(spans, func(sp obs.Span) bool {
-		return sp.Level == obs.LevelVisit && sp.Parent == 0
-	})
+	rootIdx := -1
+	for i := range spans {
+		if spans[i].Level == obs.LevelVisit && spans[i].Parent == 0 {
+			rootIdx = i
+			break
+		}
+	}
 	if rootIdx < 0 {
 		return Visit{}, int64(len(spans)), false
 	}
-	root := spans[rootIdx]
+	root := &spans[rootIdx]
 	v := Visit{
 		Trace:    root.Trace,
 		Class:    root.Attrs["class"],
@@ -120,23 +135,16 @@ func (f *folder) fold(tr obs.Trace) (Visit, int64, bool) {
 	}
 
 	owner := slices.Grow(f.owner[:0], len(spans))[:len(spans)]
-	f.owner = owner
+	children := slices.Grow(f.children[:0], len(spans))[:len(spans)]
+	f.owner, f.children = owner, children
 	for i := range owner {
 		owner[i] = spanOwner{-1, -1}
+		children[i] = 0
 	}
-	// parent returns the owner of the span with ID id if it precedes
-	// position i and has the given level, else nil.
-	parent := func(i, id int, level obs.Level) *spanOwner {
-		j, ok := slices.BinarySearchFunc(spans[:i], id, func(sp obs.Span, id int) int {
-			return cmp.Compare(sp.ID, id)
-		})
-		if !ok || spans[j].Level != level {
-			return nil
-		}
-		return &owner[j]
-	}
+	var functions int
 	var orphans int64
-	for i, sp := range spans {
+	for i := range spans {
+		sp := &spans[i]
 		if i == rootIdx {
 			continue
 		}
@@ -146,40 +154,88 @@ func (f *folder) fold(tr obs.Trace) (Visit, int64, bool) {
 				orphans++
 				continue
 			}
-			owner[i].fn = len(v.Functions)
-			v.Functions = append(v.Functions, VisitFunction{
-				Name:  sp.Name,
-				OK:    sp.OK,
-				Cause: sp.Cause,
-			})
+			owner[i].fn = functions
+			functions++
 		case obs.LevelStep:
-			o := parent(i, sp.Parent, obs.LevelFunction)
-			if o == nil || o.fn < 0 {
+			j := parentAt(spans[:i], sp.Parent, obs.LevelFunction)
+			if j < 0 || owner[j].fn < 0 {
 				orphans++
 				continue
 			}
-			fn := &v.Functions[o.fn]
-			owner[i] = spanOwner{o.fn, len(fn.Steps)}
-			fn.Steps = append(fn.Steps, VisitStep{
+			owner[i] = spanOwner{owner[j].fn, children[j]}
+			children[j]++
+		case obs.LevelResource:
+			j := parentAt(spans[:i], sp.Parent, obs.LevelStep)
+			if j < 0 || owner[j].step < 0 {
+				orphans++
+				continue
+			}
+			owner[i] = owner[j]
+			children[j]++
+		default: // a second visit-level span in the same trace
+			orphans++
+		}
+	}
+
+	v.Functions = f.fns.take(functions)[:functions]
+	for i := range spans {
+		o := owner[i]
+		if o.fn < 0 {
+			continue
+		}
+		sp := &spans[i]
+		switch sp.Level {
+		case obs.LevelFunction:
+			v.Functions[o.fn] = VisitFunction{
 				Name:  sp.Name,
 				OK:    sp.OK,
 				Cause: sp.Cause,
+				Steps: f.steps.take(children[i]),
+			}
+		case obs.LevelStep:
+			fn := &v.Functions[o.fn]
+			fn.Steps = append(fn.Steps, VisitStep{
+				Name:      sp.Name,
+				OK:        sp.OK,
+				Cause:     sp.Cause,
+				Resources: f.res.take(children[i]),
 			})
 		case obs.LevelResource:
-			o := parent(i, sp.Parent, obs.LevelStep)
-			if o == nil || o.step < 0 {
-				orphans++
-				continue
-			}
 			st := &v.Functions[o.fn].Steps[o.step]
 			st.Resources = append(st.Resources, VisitResource{
 				Service: sp.Name,
 				OK:      sp.OK,
 				Cause:   sp.Cause,
 			})
-		default: // a second visit-level span in the same trace
-			orphans++
 		}
 	}
 	return v, orphans, true
+}
+
+// sortedByID reports whether spans are in ascending ID order.
+func sortedByID(spans []obs.Span) bool {
+	for i := 1; i < len(spans); i++ {
+		if spans[i].ID < spans[i-1].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// parentAt returns the position of the first of the ID-sorted spans with
+// the given ID if it has the given level, else -1.
+func parentAt(spans []obs.Span, id int, level obs.Level) int {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if spans[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(spans) || spans[lo].ID != id || spans[lo].Level != level {
+		return -1
+	}
+	return lo
 }

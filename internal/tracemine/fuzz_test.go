@@ -12,7 +12,8 @@ import (
 // FuzzReadSpans drives arbitrary bytes through the tolerant JSONL reader:
 // it must never panic and never return an error for in-memory input —
 // malformed content is skipped and counted, and the stats must stay
-// internally consistent.
+// internally consistent. Traces, stats and the fold of the traces must
+// equal the reference grouper's and folder's exactly.
 func FuzzReadSpans(f *testing.F) {
 	f.Add("")
 	f.Add("\n\n\n")
@@ -24,6 +25,44 @@ func FuzzReadSpans(f *testing.F) {
 	f.Add(`{"trace":1,"id":1,"parent":0,"level":"visit","duration":1e999}` + "\n")
 	f.Add(`{"trace":1,"id":1,"parent":0,"level":"visit","start":"NaN"}` + "\n")
 	f.Add(`{"trace":1,"id":1,"parent":0,"level":"vis`) // truncated tail
+	lines := func(ls ...string) string { return strings.Join(ls, "\n") + "\n" }
+	// A trace resumed after others.
+	f.Add(lines(
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+		spanLine(2, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(3, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 3, 2, obs.LevelStep, "s", true),
+		spanLine(2, 2, 1, obs.LevelFunction, "Browse", false),
+	))
+	// Duplicates before and after a resume.
+	f.Add(lines(
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+		spanLine(2, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 3, 2, obs.LevelStep, "s", true),
+		spanLine(1, 3, 2, obs.LevelStep, "s", true),
+	))
+	// Descending IDs, with a repeat.
+	f.Add(lines(
+		spanLine(1, 4, 3, obs.LevelResource, "DS", true),
+		spanLine(1, 3, 2, obs.LevelStep, "s", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+		spanLine(1, 3, 2, obs.LevelStep, "s", true),
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+	))
+	// Malformed lines between duplicates.
+	f.Add(lines(
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		"{not json",
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		`{"trace":1,"id":1,"parent":0,"level":"galaxy"}`,
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+	))
 	f.Fuzz(func(t *testing.T, input string) {
 		traces, rs, err := ReadSpans(strings.NewReader(input))
 		if err != nil {
@@ -42,6 +81,18 @@ func FuzzReadSpans(f *testing.F) {
 		if rs.Spans+rs.Malformed+rs.Duplicates != rs.Lines {
 			t.Fatalf("lines %d != spans %d + malformed %d + duplicates %d",
 				rs.Lines, rs.Spans, rs.Malformed, rs.Duplicates)
+		}
+		wantTraces, wantStats := referenceReadSpans([]byte(input))
+		if rs != wantStats {
+			t.Fatalf("stats = %+v, reference %+v", rs, wantStats)
+		}
+		if !reflect.DeepEqual(traces, wantTraces) {
+			t.Fatalf("traces differ from the reference grouper's:\n%+v\nwant\n%+v", traces, wantTraces)
+		}
+		visits, fs := Fold(traces)
+		wantVisits, wantFS := referenceFold(traces)
+		if fs != wantFS || !reflect.DeepEqual(visits, wantVisits) {
+			t.Fatalf("fold = %+v %+v, reference %+v %+v", fs, visits, wantFS, wantVisits)
 		}
 		// Whatever survived must mine without panicking.
 		Mine(traces, Options{})
@@ -78,6 +129,9 @@ func FuzzDecodeSpan(f *testing.F) {
 		`{"trace":1,"id":9223372036854775808,"level":"visit"}`,
 		`{"trace":18446744073709551616,"id":1,"level":"visit"}`,
 		`{"trace":1,"id":-1,"parent":1.0,"level":"visit","ok":tru}`,
+		`{"trace":1,"id":2,"parent":1,"level":"step","name":"s"}`,
+		`{"trace":1,"id":2,"parent":1,"level":"galaxy","name":"s"}`,
+		`{"trace":1,"id":2,"parent":1,"level":"Step","name":"s"}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -3,6 +3,7 @@ package tracemine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/interaction"
@@ -192,19 +193,47 @@ func Mine(traces []obs.Trace, opts Options) *Discovery {
 	return d
 }
 
-// visitFunctions returns the distinct function names of a visit in
-// invocation order (repeats collapse onto their first occurrence, matching
-// the scenario-class semantics of Table 1).
-func visitFunctions(v Visit) []string {
-	var out []string
-	seen := make(map[string]bool, len(v.Functions))
-	for _, fn := range v.Functions {
-		if !seen[fn.Name] {
-			seen[fn.Name] = true
-			out = append(out, fn.Name)
+// visitSig is a visit's distinct function names in invocation order
+// (repeats collapse onto their first occurrence, matching the
+// scenario-class semantics of Table 1) and their scenario key.
+type visitSig struct {
+	fns []string
+	key string
+}
+
+// maxScanFunctions is the longest function list whose repeats are found by
+// scanning the names kept so far; a longer one uses a set, so a hostile
+// visit cannot make the scan quadratic.
+const maxScanFunctions = 32
+
+// signatures computes every visit's signature once. The name lists are
+// carved from one shared slice.
+func signatures(visits []Visit) []visitSig {
+	sigs := make([]visitSig, len(visits))
+	var names []string
+	for i := range visits {
+		fns := visits[i].Functions
+		start := len(names)
+		var seen map[string]bool
+		if len(fns) > maxScanFunctions {
+			seen = make(map[string]bool, len(fns))
 		}
+		for j := range fns {
+			name := fns[j].Name
+			if seen != nil {
+				if seen[name] {
+					continue
+				}
+				seen[name] = true
+			} else if slices.Contains(names[start:], name) {
+				continue
+			}
+			names = append(names, name)
+		}
+		distinct := names[start:len(names):len(names)]
+		sigs[i] = visitSig{fns: distinct, key: opprofile.ScenarioKey(distinct)}
 	}
-	return out
+	return sigs
 }
 
 // profileAcc accumulates raw counts for one class before estimates are cut.
@@ -228,28 +257,31 @@ func newProfileAcc(clustered bool) *profileAcc {
 	}
 }
 
-func (a *profileAcc) addVisit(fns []string, ok bool) {
+func (a *profileAcc) addVisit(sig visitSig, ok bool) {
 	a.visits++
 	if ok {
 		a.ok++
 	}
-	key := opprofile.ScenarioKey(fns)
-	a.scenarios[key]++
-	if _, seen := a.scenarioFns[key]; !seen {
-		a.scenarioFns[key] = append([]string(nil), fns...)
+	a.scenarios[sig.key]++
+	if _, seen := a.scenarioFns[sig.key]; !seen {
+		a.scenarioFns[sig.key] = append([]string(nil), sig.fns...)
 	}
-	nodes := append([]string{opprofile.Start}, fns...)
-	nodes = append(nodes, opprofile.Exit)
-	for i := 0; i+1 < len(nodes); i++ {
-		from, to := nodes[i], nodes[i+1]
-		row := a.transitions[from]
-		if row == nil {
-			row = make(map[string]int64)
-			a.transitions[from] = row
-		}
-		row[to]++
-		a.fromTotals[from]++
+	from := opprofile.Start
+	for _, to := range sig.fns {
+		a.edge(from, to)
+		from = to
 	}
+	a.edge(from, opprofile.Exit)
+}
+
+func (a *profileAcc) edge(from, to string) {
+	row := a.transitions[from]
+	if row == nil {
+		row = make(map[string]int64)
+		a.transitions[from] = row
+	}
+	row[to]++
+	a.fromTotals[from]++
 }
 
 func (a *profileAcc) profile(class string) *Profile {
@@ -377,13 +409,14 @@ func mine(visits []Visit, fs FoldStats, opts Options) *Discovery {
 
 	// Visits without a class attr are split by session clustering over
 	// their scenario signatures.
+	sigs := signatures(visits)
 	var unclassed map[string]int64
-	for _, v := range visits {
-		if v.Class == "" {
+	for i := range visits {
+		if visits[i].Class == "" {
 			if unclassed == nil {
 				unclassed = make(map[string]int64)
 			}
-			unclassed[opprofile.ScenarioKey(visitFunctions(v))]++
+			unclassed[sigs[i].key]++
 		}
 	}
 	var clusterOf map[string]int
@@ -403,12 +436,12 @@ func mine(visits []Visit, fs FoldStats, opts Options) *Discovery {
 	}
 	services := make(map[string]*svcAcc)
 
-	for _, v := range visits {
-		fns := visitFunctions(v)
+	for i := range visits {
+		v := &visits[i]
 		class := v.Class
 		clustered := false
 		if class == "" {
-			class = fmt.Sprintf("cluster-%d", clusterOf[opprofile.ScenarioKey(fns)])
+			class = fmt.Sprintf("cluster-%d", clusterOf[sigs[i].key])
 			clustered = true
 		}
 		acc := profiles[class]
@@ -416,7 +449,7 @@ func mine(visits []Visit, fs FoldStats, opts Options) *Discovery {
 			acc = newProfileAcc(clustered)
 			profiles[class] = acc
 		}
-		acc.addVisit(fns, v.OK)
+		acc.addVisit(sigs[i], v.OK)
 
 		for _, fn := range v.Functions {
 			da := diagrams[fn.Name]

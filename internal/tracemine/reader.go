@@ -45,7 +45,7 @@ type ReadStats struct {
 
 // spanProblem validates one decoded span; a non-nil result means the span
 // must be counted malformed.
-func spanProblem(sp obs.Span) error {
+func spanProblem(sp *obs.Span) error {
 	if sp.ID < 1 {
 		return fmt.Errorf("span id %d", sp.ID)
 	}
@@ -66,59 +66,111 @@ func spanProblem(sp obs.Span) error {
 	return nil
 }
 
-// spanKey identifies one span across a stream.
-type spanKey struct {
-	trace uint64
-	id    int
-}
-
 // grouper folds validated spans into traces in first-appearance order,
 // dropping duplicate (trace, id) pairs.
+//
+// A stream writes each trace's spans together, so the grouper keeps the
+// spans of a trace's first appearance as the open run of a span arena and
+// seals the run into the trace when the stream moves on to another trace;
+// only then does it look the new trace up. A trace that turns up again
+// after others appends to its sealed run, which copies it out of the arena.
 type grouper struct {
 	stats ReadStats
 	index map[uint64]int // trace → position in out
-	seen  map[spanKey]struct{}
 	out   []obs.Trace
+	ids   []traceIDs // per position in out
+	spans arena[obs.Span]
+	cur   int    // position in out of the current trace; -1 before any
+	trace uint64 // the current trace
+	inRun bool   // the current trace's spans are the arena's open run
 	// fallbacks counts the lines readSpans handed to encoding/json.
 	fallbacks int64
 }
 
-func newGrouper() *grouper {
-	return &grouper{
-		index: make(map[uint64]int),
-		seen:  make(map[spanKey]struct{}),
-	}
+// traceIDs is what dedup keeps per trace. A span ID above the trace's
+// largest so far cannot repeat one, so only a trace whose IDs stop
+// increasing pays for a set of them.
+type traceIDs struct {
+	max  int
+	seen map[int]struct{} // every kept ID, from the first non-increasing one on
 }
 
-func (g *grouper) add(sp obs.Span) {
+func newGrouper() *grouper {
+	return &grouper{index: make(map[uint64]int), cur: -1}
+}
+
+func (g *grouper) add(sp *obs.Span) {
 	if err := spanProblem(sp); err != nil {
 		g.stats.Malformed++
 		return
 	}
-	key := spanKey{sp.Trace, sp.ID}
-	if _, dup := g.seen[key]; dup {
-		g.stats.Duplicates++
-		return
+	if g.cur < 0 || sp.Trace != g.trace {
+		g.switchTo(sp.Trace)
 	}
-	g.seen[key] = struct{}{}
-	idx, ok := g.index[sp.Trace]
-	if !ok {
+	ids := &g.ids[g.cur]
+	if sp.ID <= ids.max {
+		if ids.seen == nil {
+			kept := g.out[g.cur].Spans
+			if g.inRun {
+				kept = g.spans.open()
+			}
+			ids.seen = make(map[int]struct{}, len(kept)+1)
+			for i := range kept {
+				ids.seen[kept[i].ID] = struct{}{}
+			}
+		}
+		if _, dup := ids.seen[sp.ID]; dup {
+			g.stats.Duplicates++
+			return
+		}
+	}
+	if ids.seen != nil {
+		ids.seen[sp.ID] = struct{}{}
+	}
+	ids.max = max(ids.max, sp.ID)
+	if g.inRun {
+		g.spans.push(sp)
+	} else {
+		g.out[g.cur].Spans = append(g.out[g.cur].Spans, *sp)
+	}
+	g.stats.Spans++
+}
+
+// switchTo seals the current trace's run and makes trace current, opening
+// a run for it when it is new.
+func (g *grouper) switchTo(trace uint64) {
+	g.seal()
+	idx, seen := g.index[trace]
+	if !seen {
 		idx = len(g.out)
-		g.index[sp.Trace] = idx
+		g.index[trace] = idx
 		g.out = append(g.out, obs.Trace{})
+		g.ids = append(g.ids, traceIDs{})
 		g.stats.Traces++
 	}
-	g.out[idx].Spans = append(g.out[idx].Spans, sp)
-	g.stats.Spans++
+	g.cur, g.trace, g.inRun = idx, trace, !seen
+}
+
+// seal stores the open run, if any, as the current trace's spans.
+func (g *grouper) seal() {
+	if g.inRun {
+		g.out[g.cur].Spans = g.spans.seal()
+		g.inRun = false
+	}
 }
 
 // GroupSpans folds already-decoded spans into traces in first-appearance
 // order, skipping structurally invalid spans and duplicate (trace, id) pairs.
+//
+// The traces' span slices share backing arrays but never capacity: each
+// is either sealed with cap == len or owned by its trace alone, so
+// appending to one never writes into another.
 func GroupSpans(spans []obs.Span) ([]obs.Trace, ReadStats) {
 	g := newGrouper()
-	for _, sp := range spans {
-		g.add(sp)
+	for i := range spans {
+		g.add(&spans[i])
 	}
+	g.seal()
 	return g.out, g.stats
 }
 
@@ -137,7 +189,8 @@ const maxLineBytes = 1 << 20
 //
 // Lines in the exact shape obs.Tracer writes are decoded without
 // reflection (see decodeSpan); every other line goes through
-// encoding/json, so the result is the same either way.
+// encoding/json, so the result is the same either way. The returned span
+// slices alias one another's backing arrays as GroupSpans describes.
 func ReadSpans(r io.Reader) ([]obs.Trace, ReadStats, error) {
 	g, err := readSpans(r)
 	return g.out, g.stats, err
@@ -177,12 +230,14 @@ func readSpans(r io.Reader) (*grouper, error) {
 					break
 				}
 			}
-			g.add(sp)
+			g.add(&sp)
 		}
 		if err == io.EOF {
+			g.seal()
 			return g, nil
 		}
 		if err != nil {
+			g.seal()
 			return g, fmt.Errorf("tracemine: read spans: %w", err)
 		}
 	}
@@ -201,8 +256,9 @@ func unmarshalSpan(line []byte) (obs.Span, bool) {
 // hostile stream of unique names cannot make the table outgrow the spans.
 const maxInterned = 1 << 12
 
-// interner shares one copy of each repeated span string (names, levels,
-// causes, attr keys and values) within one ReadSpans call.
+// interner shares one copy of each repeated span string (names, causes,
+// attr keys and values, levels other than the four) within one ReadSpans
+// call.
 type interner map[string]string
 
 func (in interner) intern(b []byte) string {
@@ -274,9 +330,7 @@ func decodeSpan(line []byte, names interner, sp *obs.Span) bool {
 			sp.Parent = int(n)
 		case "level":
 			bit = keyLevel
-			var s string
-			s, i, ok = scanName(line, i, names)
-			sp.Level = obs.Level(s)
+			sp.Level, i, ok = scanLevel(line, i, names)
 		case "name":
 			bit = keyName
 			sp.Name, i, ok = scanName(line, i, names)
@@ -336,6 +390,26 @@ func scanName(line []byte, i int, names interner) (string, int, bool) {
 		return "", j, false
 	}
 	return names.intern(b), j, true
+}
+
+// scanLevel scans a level value, sharing the obs.Level constant's string
+// when it is one of the four levels.
+func scanLevel(line []byte, i int, names interner) (obs.Level, int, bool) {
+	b, j, ok := scanString(line, i)
+	if !ok {
+		return "", j, false
+	}
+	switch string(b) {
+	case string(obs.LevelVisit):
+		return obs.LevelVisit, j, true
+	case string(obs.LevelFunction):
+		return obs.LevelFunction, j, true
+	case string(obs.LevelStep):
+		return obs.LevelStep, j, true
+	case string(obs.LevelResource):
+		return obs.LevelResource, j, true
+	}
+	return obs.Level(names.intern(b)), j, true
 }
 
 // scanUint scans an unsigned decimal integer without leading zeros that

@@ -68,7 +68,7 @@ func TestReadSpansTolerant(t *testing.T) {
 // both classes) takes the reflection-free path, and the result is the one
 // encoding/json gives line by line.
 func TestReadSpansFastPath(t *testing.T) {
-	traces := runTestbed(t, 300, 3)
+	traces := runTestbed(t, 300, 3, 300)
 	tracer := obs.NewTracer(len(traces))
 	for _, tr := range traces {
 		tracer.Record(tr)
@@ -80,6 +80,9 @@ func TestReadSpansFastPath(t *testing.T) {
 	g, err := readSpans(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g.stats.Duplicates != 0 || g.stats.Traces != 600 {
+		t.Errorf("read %d traces with %d duplicate spans, want 600 and 0", g.stats.Traces, g.stats.Duplicates)
 	}
 	if g.fallbacks != 0 {
 		t.Errorf("%d of %d lines fell back to encoding/json", g.fallbacks, g.stats.Lines)
@@ -229,5 +232,91 @@ func TestFoldSparseIDs(t *testing.T) {
 	if len(fns) != 1 || len(fns[0].Steps) != 1 || len(fns[0].Steps[0].Resources) != 1 ||
 		fns[0].Steps[0].Resources[0].Service != "DS" {
 		t.Errorf("functions = %+v", fns)
+	}
+}
+
+// TestGroupSpansDescendingHostile: one trace of 200,000 spans in descending
+// ID order, every tenth span repeated, groups as the reference does. Every
+// ID after the first is below the trace's maximum, so dedup runs on the
+// trace's ID set; a scan of the kept spans would make about 10^10
+// comparisons here.
+func TestGroupSpansDescendingHostile(t *testing.T) {
+	const n = 200_000
+	spans := make([]obs.Span, 0, n+n/10)
+	for id := n; id >= 1; id-- {
+		sp := obs.Span{Trace: 9, ID: id, Parent: id - 1, Level: obs.LevelStep, Name: "s", OK: true}
+		if id == 1 {
+			sp.Level = obs.LevelVisit
+		}
+		spans = append(spans, sp)
+		if id%10 == 0 {
+			spans = append(spans, sp)
+		}
+	}
+	got, rs := GroupSpans(spans)
+	want, wantStats := referenceGroupSpans(spans)
+	if rs != wantStats {
+		t.Errorf("stats = %+v, reference %+v", rs, wantStats)
+	}
+	if rs.Spans != n || rs.Duplicates != n/10 || rs.Traces != 1 {
+		t.Errorf("stats = %+v, want %d spans, %d duplicates, 1 trace", rs, n, n/10)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("traces differ from the reference grouper's")
+	}
+}
+
+// TestReadSpansScrambledMatchesReference: a testbed stream with a fifth of
+// its lines permuted and every tenth repeated (traces resumed after others,
+// descending IDs, duplicates across resumes) reads, and folds, exactly as
+// the reference grouper and folder give.
+func TestReadSpansScrambledMatchesReference(t *testing.T) {
+	stream := scramble(goldenStream(t, 200, 4), 9)
+	traces, rs, err := ReadSpans(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats := referenceReadSpans(stream)
+	if rs != wantStats {
+		t.Errorf("stats = %+v, reference %+v", rs, wantStats)
+	}
+	if rs.Duplicates == 0 || rs.Traces != 400 {
+		t.Errorf("stats = %+v, want duplicates and 400 traces", rs)
+	}
+	if !reflect.DeepEqual(traces, want) {
+		t.Fatal("traces differ from the reference grouper's")
+	}
+	visits, fs := Fold(traces)
+	wantVisits, wantFS := referenceFold(traces)
+	if fs != wantFS || !reflect.DeepEqual(visits, wantVisits) {
+		t.Errorf("fold = %+v, reference %+v (visits equal: %v)", fs, wantFS, reflect.DeepEqual(visits, wantVisits))
+	}
+}
+
+// TestGroupedSpansDoNotShareCapacity: traces' span slices come from shared
+// blocks, yet appending to one trace's spans leaves every other trace as it
+// was — for traces read in one run and for traces resumed after others.
+func TestGroupedSpansDoNotShareCapacity(t *testing.T) {
+	input := strings.Join([]string{
+		spanLine(1, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 2, 1, obs.LevelFunction, "Home", true),
+		spanLine(2, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(1, 3, 2, obs.LevelStep, "s", true), // trace 1 resumes
+		spanLine(3, 1, 0, obs.LevelVisit, "v", true),
+		spanLine(3, 2, 1, obs.LevelFunction, "Browse", true),
+		spanLine(4, 1, 0, obs.LevelVisit, "v", true),
+	}, "\n") + "\n"
+	traces, _, err := ReadSpans(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := referenceReadSpans([]byte(input))
+	for i := range traces {
+		traces[i].Spans = append(traces[i].Spans, obs.Span{Trace: 99, ID: 99})
+		for j := range traces {
+			if j != i && !reflect.DeepEqual(traces[j].Spans[:len(want[j].Spans)], want[j].Spans) {
+				t.Fatalf("appending to trace %d changed trace %d", i, j)
+			}
+		}
 	}
 }
